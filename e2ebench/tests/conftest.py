@@ -1,0 +1,12 @@
+"""Make ``e2ebench`` and the program under ``src/`` importable for these tests.
+
+Run from the root of a checkout: ``python3 -m pytest e2ebench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
