@@ -448,7 +448,7 @@ class SparseBlockDiagRule(CodeRule):
     """Re-packing per-graph sparse operators with ``scipy.sparse.block_diag``
     on every call is the batching anti-pattern the cached aggregation layer
     (:mod:`m3d_fault_loc.model.aggregate`) exists to replace: it round-trips
-    through COO and rebuilds arrays that a digest-keyed cache plus
+    through COO and rebuilds arrays that a topology-keyed cache plus
     segment-offset concatenation produce for free. In serving code a
     per-request rebuild burns the latency budget of the whole forward pass,
     so the finding escalates from WARNING to ERROR inside ``serve/``
@@ -479,7 +479,7 @@ class SparseBlockDiagRule(CodeRule):
             findings.append(
                 self.violation(
                     f"scipy.sparse block-diagonal construction{where}; use the "
-                    "digest-keyed AggregationOperatorCache.batch_operator / "
+                    "topology-keyed AggregationOperatorCache.batch_operator / "
                     "stack_block_diagonal (m3d_fault_loc.model.aggregate) instead "
                     "of re-packing operators per call",
                     path,

@@ -109,12 +109,12 @@ def _case_cache_lookup(workload: Workload, ctx: BenchContext) -> PreparedCase:
 
 def _case_node_scores(workload: Workload, ctx: BenchContext) -> PreparedCase:
     model = ctx.make_model()
-    graphs, digests = workload.graphs, workload.digests
+    graphs = workload.graphs
 
     def fn() -> float:
         acc = 0.0
-        for graph, digest in zip(graphs, digests):
-            acc += float(model.node_scores(graph, digest=digest)[0])
+        for graph in graphs:
+            acc += float(model.node_scores(graph)[0])
         return acc
 
     return fn, {"graphs_per_call": len(graphs)}, None
@@ -122,14 +122,14 @@ def _case_node_scores(workload: Workload, ctx: BenchContext) -> PreparedCase:
 
 def _case_node_scores_batch(workload: Workload, ctx: BenchContext) -> PreparedCase:
     """The optimized serve path on a repeat-graph batch: cached CSR operators
-    keyed by digest, segment-offset block stacking, preallocated buffers.
+    keyed by topology, segment-offset block stacking, preallocated buffers.
     Warmup calls populate the operator cache — exactly what a warm serving
     worker sees."""
     model = ctx.make_model()
-    graphs, digests = repeat_batch(workload, ctx.batch_size)
+    graphs = repeat_batch(workload, ctx.batch_size)
 
     def fn() -> int:
-        return len(model.node_scores_batch(graphs, digests=digests))
+        return len(model.node_scores_batch(graphs))
 
     return fn, {"graphs_per_call": len(graphs), "batch_size": ctx.batch_size}, None
 
@@ -157,7 +157,7 @@ def legacy_node_scores_batch(
 
 def _case_node_scores_batch_legacy(workload: Workload, ctx: BenchContext) -> PreparedCase:
     model = ctx.make_model()
-    graphs, _ = repeat_batch(workload, ctx.batch_size)
+    graphs = repeat_batch(workload, ctx.batch_size)
 
     def fn() -> int:
         return len(legacy_node_scores_batch(model, graphs))

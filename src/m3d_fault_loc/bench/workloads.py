@@ -84,10 +84,8 @@ def build_workload(spec: WorkloadSpec) -> Workload:
     return Workload(spec=spec, build_inputs=build_inputs, graphs=graphs)
 
 
-def repeat_batch(workload: Workload, batch_size: int) -> tuple[list[CircuitGraph], list[str]]:
+def repeat_batch(workload: Workload, batch_size: int) -> list[CircuitGraph]:
     """A repeat-graph micro-batch: the workload's graphs cycled to
     ``batch_size`` — the shape a warm serving cache sees, where the same
     topologies recur across consecutive batches."""
-    graphs = [workload.graphs[i % len(workload.graphs)] for i in range(batch_size)]
-    digests = [workload.digests[i % len(workload.digests)] for i in range(batch_size)]
-    return graphs, digests
+    return [workload.graphs[i % len(workload.graphs)] for i in range(batch_size)]

@@ -10,9 +10,8 @@ the feature matrix does — so this module makes them cacheable:
 - :func:`build_in_neighbor_mean` is the one true operator constructor
   (``m3d_fault_loc.model.localizer.in_neighbor_mean`` delegates here);
 - :class:`AggregationOperatorCache` is a byte-bounded, thread-safe LRU of
-  built operators keyed by a content digest (the serve layer passes the
-  request digest it already computed; standalone callers get a cheaper
-  topology-only digest computed here);
+  built operators keyed by :func:`topology_digest`, so every observation of
+  one netlist shares one operator;
 - :func:`stack_block_diagonal` assembles the batched block-diagonal
   operator by *segment-offset concatenation* of the cached per-graph CSR
   arrays — same nonzeros in the same row-major order as
@@ -117,10 +116,9 @@ def stack_block_diagonal(ops: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
 class AggregationOperatorCache:
     """Byte-bounded, thread-safe LRU of built aggregation operators.
 
-    Keys are caller-supplied digests (the serve layer reuses the request's
-    content digest, already paid for) or, when none is given, the cheaper
-    :func:`topology_digest`. Both are SHA-256 content hashes, so a key
-    collision means identical bytes — a colliding-but-different graph cannot
+    Keys are the compute dtype plus :func:`topology_digest`, a SHA-256
+    content hash of exactly what the operator reads, so a key collision
+    means identical bytes — a colliding-but-different graph cannot
     occur short of breaking the hash, and distinct topologies always land in
     distinct entries (asserted in the collision-safety tests).
 
@@ -148,19 +146,12 @@ class AggregationOperatorCache:
         self.misses = 0
         self.evictions = 0
 
-    def _key(self, graph: CircuitGraph, dtype: np.dtype, digest: str | None) -> str:
-        base = digest if digest is not None else topology_digest(graph)
-        return f"{np.dtype(dtype)}:{base}"
-
     def get_or_build(
-        self,
-        graph: CircuitGraph,
-        dtype: np.dtype | type = np.float64,
-        digest: str | None = None,
+        self, graph: CircuitGraph, dtype: np.dtype | type = np.float64
     ) -> sp.csr_matrix:
         """Cached operator for ``graph``, building (and retaining) on a miss."""
         dtype = np.dtype(dtype)
-        key = self._key(graph, dtype, digest)
+        key = f"{dtype}:{topology_digest(graph)}"
         with self._lock:
             m = self._entries.get(key)
             if m is not None:
@@ -178,19 +169,10 @@ class AggregationOperatorCache:
         return m
 
     def batch_operator(
-        self,
-        graphs: Sequence[CircuitGraph],
-        dtype: np.dtype | type = np.float64,
-        digests: Sequence[str | None] | None = None,
+        self, graphs: Sequence[CircuitGraph], dtype: np.dtype | type = np.float64
     ) -> sp.csr_matrix:
         """Block-diagonal batch operator assembled from cached per-graph CSRs."""
-        if digests is not None and len(digests) != len(graphs):
-            raise ValueError(f"got {len(digests)} digests for {len(graphs)} graphs")
-        ops = [
-            self.get_or_build(g, dtype=dtype, digest=digests[i] if digests else None)
-            for i, g in enumerate(graphs)
-        ]
-        return stack_block_diagonal(ops)
+        return stack_block_diagonal([self.get_or_build(g, dtype=dtype) for g in graphs])
 
     def _evict_locked(self) -> None:
         while self._entries and (

@@ -71,9 +71,9 @@ class DelayFaultLocalizer:
             "b3": np.zeros(1),
         }
 
-        #: Per-graph CSR operator cache shared by every forward entry point;
-        #: the serve layer passes its request digests so warm topologies skip
-        #: the operator rebuild entirely.
+        #: Per-graph CSR operator cache shared by every forward entry point,
+        #: keyed by topology: every observation of a warm netlist skips the
+        #: operator rebuild entirely.
         self.agg_cache = agg_cache if agg_cache is not None else AggregationOperatorCache()
         #: Reusable (N, hidden) forward scratch, one set per thread — the
         #: arrays are rebound between calls, so reuse never changes values,
@@ -106,25 +106,16 @@ class DelayFaultLocalizer:
 
     # -- forward ----------------------------------------------------------
 
-    def node_scores(self, graph: CircuitGraph, digest: str | None = None) -> np.ndarray:
-        """Raw per-node localization logits, shape (N,).
-
-        ``digest`` is an optional content-digest cache key for the graph's
-        aggregation operator (the serve layer passes the request digest it
-        already computed; omitted, a topology-only digest is derived).
-        """
-        logits, _ = self._forward(graph, digest=digest)
+    def node_scores(self, graph: CircuitGraph) -> np.ndarray:
+        """Raw per-node localization logits, shape (N,)."""
+        logits, _ = self._forward(graph)
         return logits
 
     def predict(self, graph: CircuitGraph) -> int:
         """Index of the most likely fault-origin node."""
         return int(np.argmax(self.node_scores(graph)))
 
-    def node_scores_batch(
-        self,
-        graphs: Sequence[CircuitGraph],
-        digests: Sequence[str | None] | None = None,
-    ) -> list[np.ndarray]:
+    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
         """Per-graph logit arrays from one stacked forward pass.
 
         Features are concatenated and the aggregation matrices placed on a
@@ -138,13 +129,12 @@ class DelayFaultLocalizer:
         if not graphs:
             return []
         if len(graphs) == 1:
-            digest = digests[0] if digests else None
-            return [self.node_scores(graphs[0], digest=digest)]
+            return [self.node_scores(graphs[0])]
         sizes = [g.num_nodes for g in graphs]
         x = np.concatenate(
             [np.asarray(g.x, dtype=self._dtype) for g in graphs], axis=0
         )
-        m = self.agg_cache.batch_operator(graphs, dtype=self._dtype, digests=digests)
+        m = self.agg_cache.batch_operator(graphs, dtype=self._dtype)
         logits, _ = self._forward_arrays(x, m)
         return [part.copy() for part in np.split(logits, np.cumsum(sizes)[:-1])]
 
@@ -152,12 +142,12 @@ class DelayFaultLocalizer:
         """Most likely fault-origin index for each graph, one forward pass."""
         return [int(np.argmax(scores)) for scores in self.node_scores_batch(graphs)]
 
-    def _forward(self, graph: CircuitGraph, digest: str | None = None):
+    def _forward(self, graph: CircuitGraph):
         # np.asarray is a no-op (no copy, no pass over the data) when the
         # dtype already matches — the float32-precision path reads the
         # schema's float32 features for free.
         x = np.asarray(graph.x, dtype=self._dtype)
-        m = self.agg_cache.get_or_build(graph, dtype=self._dtype, digest=digest)
+        m = self.agg_cache.get_or_build(graph, dtype=self._dtype)
         return self._forward_arrays(x, m)
 
     def _buffers(self, n: int) -> dict[str, np.ndarray]:

@@ -17,6 +17,8 @@ Layers, bottom up:
 - :mod:`m3d_fault_loc.serve.resilience` — deadlines, load shedding,
   circuit breaker, health state machine, and retry/backoff policies that
   make every failure mode explicit, bounded, and observable.
+- :mod:`m3d_fault_loc.serve.http` — the JSON request-handler base shared by
+  the server, the router and the chaos stub replica.
 - :mod:`m3d_fault_loc.serve.server` — stdlib ``http.server`` JSON API
   (``POST /localize``, ``GET /healthz``, ``GET /metrics``, ``GET /model``).
 """

@@ -47,18 +47,17 @@ import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlparse
 
-from m3d_fault_loc.obs.context import current_trace_id, new_trace_id, sanitize_trace_id
-from m3d_fault_loc.obs.context import trace_context as _trace_context
+from m3d_fault_loc.obs.context import current_trace_id, new_trace_id
 from m3d_fault_loc.obs.fleet import FleetScraper
 from m3d_fault_loc.obs.logging import get_logger
 from m3d_fault_loc.obs.trace import NULL_TRACER, Tracer
+from m3d_fault_loc.serve.http import TRACE_HEADER, JSONHandler
 from m3d_fault_loc.serve.metrics import MetricsRegistry
 from m3d_fault_loc.serve.resilience import Deadline, ExponentialBackoff, jittered
-from m3d_fault_loc.serve.server import TRACE_HEADER
 
 log = get_logger(__name__)
 
@@ -691,40 +690,12 @@ class RouterHTTPServer(ThreadingHTTPServer):
         return int(self.server_address[1])
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JSONHandler):
     server_version = "m3d-route/0.1"
-    protocol_version = "HTTP/1.1"
+    access_event = "router_access"
     server: RouterHTTPServer
 
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("router_access", client=self.address_string(), line=format % args)
-
-    def _send(self, response: RoutedResponse) -> None:
-        self.send_response(response.status)
-        headers = dict(response.headers)
-        headers.setdefault("Content-Type", "application/json")
-        headers[ATTEMPTS_HEADER] = str(response.attempts)
-        trace_id = current_trace_id()
-        if trace_id is not None:
-            headers.setdefault(TRACE_HEADER, trace_id)
-        headers["Content-Length"] = str(len(response.body))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(response.body)
-
-    def _send_json(self, status: int, payload: dict[str, Any]) -> None:
-        self._send(
-            RoutedResponse(
-                status=status,
-                headers={"Content-Type": "application/json"},
-                body=json.dumps(payload).encode(),
-                replica=None,
-                attempts=0,
-            )
-        )
-
-    def _handle(self, method: str) -> None:
+    def route(self, method: str) -> None:
         router = self.server.router
         path = urlparse(self.path).path
         if path == "/router/healthz":
@@ -732,34 +703,25 @@ class _RouterHandler(BaseHTTPRequestHandler):
             status = 200 if health["status"] == "ok" or health["status"].startswith(
                 "degraded"
             ) else 503
-            self._send_json(status, health)
+            self.send_json(status, health)
             return
         if path == "/router/metrics":
-            self._send_json(200, router.metrics.to_json_dict())
+            self.send_json(200, router.metrics.to_json_dict())
             return
         if path == "/router/fleet":
-            self._send_json(200, router.fleet.scrape())
+            self.send_json(200, router.fleet.scrape())
             return
         if router.draining:
-            self._send_json(503, {"error": "draining", "detail": "router is draining"})
+            self.send_json(503, {"error": "draining", "detail": "router is draining"})
             return
-        body: bytes | None = None
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > 0:
-            body = self.rfile.read(length)
+        body = self.read_body(required=False) or None
         headers = {k: v for k, v in self.headers.items()}
         response = router.dispatch(method, self.path, body, headers)
-        self._send(response)
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        trace_id = sanitize_trace_id(self.headers.get(TRACE_HEADER)) or new_trace_id()
-        with _trace_context(trace_id):
-            self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        trace_id = sanitize_trace_id(self.headers.get(TRACE_HEADER)) or new_trace_id()
-        with _trace_context(trace_id):
-            self._handle("POST")
+        self.send_bytes(
+            response.status,
+            response.body,
+            {**response.headers, ATTEMPTS_HEADER: str(response.attempts)},
+        )
 
 
 def create_router_server(

@@ -23,13 +23,10 @@ Endpoints:
   the slow-request ring) from the service tracer, for latency triage
   without log archaeology.
 
-Every request is assigned a trace id (a well-formed inbound
-``X-M3D-Trace-Id`` header is honored, anything else replaced) that is bound
-to the handler thread's context — so the service's spans, every structured
-log line, and the response all carry the same id. The id is returned in the
-``X-M3D-Trace-Id`` response header on **every** outcome (200/4xx/5xx) and
-echoed in JSON error bodies, making a client-observed 504/429/503 directly
-correlatable with the server-side trace.
+Trace ids, the body cap and response framing come from
+:class:`m3d_fault_loc.serve.http.JSONHandler`: every outcome (200/4xx/5xx)
+carries the request's ``X-M3D-Trace-Id`` header, and JSON error bodies echo
+it, so a client-observed 504/429/503 maps directly to the server-side trace.
 
 Built on ``ThreadingHTTPServer`` so each connection blocks on its own future
 while the service worker micro-batches across connections — concurrency
@@ -40,16 +37,21 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from m3d_fault_loc.data.dataset import GraphContractError
 from m3d_fault_loc.graph.schema import CircuitGraph
-from m3d_fault_loc.obs.context import current_trace_id, new_trace_id, sanitize_trace_id
-from m3d_fault_loc.obs.context import trace_context as _trace_context
 from m3d_fault_loc.obs.logging import get_logger
 from m3d_fault_loc.scenarios import UnknownScenarioError, scenario_names
+from m3d_fault_loc.serve.http import (
+    DEFAULT_MAX_BODY_BYTES,
+    TRACE_HEADER,
+    BadRequest,
+    ErrorResponse,
+    JSONHandler,
+)
 from m3d_fault_loc.serve.resilience import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -61,34 +63,17 @@ from m3d_fault_loc.serve.service import LocalizationService
 
 log = get_logger(__name__)
 
-#: Response header carrying the request's trace id on every outcome.
-TRACE_HEADER = "X-M3D-Trace-Id"
+__all__ = ["DEFAULT_MAX_BODY_BYTES", "TRACE_HEADER", "LocalizationHTTPServer", "create_server"]
 
 #: Default (and maximum) number of traces returned by ``/debug/traces``.
 DEFAULT_DEBUG_TRACES = 20
 MAX_DEBUG_TRACES = 256
-
-#: Default cap on request bodies; override per server with ``max_body_bytes``.
-DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 DEFAULT_TOP_K = 5
 
 #: Health statuses that still answer 200 (serving, possibly at reduced
 #: capacity); anything else is 503 so load balancers rotate traffic away.
 _SERVING_STATUSES = ("ok", "degraded")
-
-
-class _BadRequest(ValueError):
-    """Client payload error; message is safe to echo back."""
-
-
-class _PayloadTooLarge(ValueError):
-    """Request body over the configured limit (413, never read)."""
-
-    def __init__(self, length: int, limit: int):
-        self.length = length
-        self.limit = limit
-        super().__init__(f"request body of {length} bytes exceeds the {limit}-byte limit")
 
 
 class LocalizationHTTPServer(ThreadingHTTPServer):
@@ -113,53 +98,15 @@ class LocalizationHTTPServer(ThreadingHTTPServer):
         return int(self.server_address[1])
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONHandler):
     server_version = "m3d-serve/0.2"
-    protocol_version = "HTTP/1.1"
     server: LocalizationHTTPServer
 
-    # -- plumbing ----------------------------------------------------------
-
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("http_access", client=self.address_string(), line=format % args)
-
-    def _request_trace_id(self) -> str:
-        """Honor a well-formed inbound trace id; mint one otherwise."""
-        return sanitize_trace_id(self.headers.get(TRACE_HEADER)) or new_trace_id()
-
-    def _send_json(
-        self, status: int, payload: dict[str, Any], headers: dict[str, str] | None = None
-    ) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = current_trace_id()
-        if trace_id is not None:
-            self.send_header(TRACE_HEADER, trace_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = current_trace_id()
-        if trace_id is not None:
-            self.send_header(TRACE_HEADER, trace_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise _BadRequest("request body required (Content-Length missing or zero)")
-        if length > self.server.max_body_bytes:
-            raise _PayloadTooLarge(length, self.server.max_body_bytes)
-        return self.rfile.read(length)
+    def route(self, method: str) -> None:
+        if method == "GET":
+            self._handle_get()
+        else:
+            self._handle_post()
 
     def _deadline_s(self, payload: dict[str, Any]) -> float | None:
         """Per-request deadline: ``deadline_ms`` in the body wins over the
@@ -170,35 +117,31 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             deadline_ms = float(raw)
         except (TypeError, ValueError):
-            raise _BadRequest(f'"deadline_ms" must be a positive number, got {raw!r}') from None
+            raise BadRequest(f'"deadline_ms" must be a positive number, got {raw!r}') from None
         if deadline_ms <= 0:
-            raise _BadRequest(f'"deadline_ms" must be a positive number, got {raw!r}')
+            raise BadRequest(f'"deadline_ms" must be a positive number, got {raw!r}')
         return deadline_ms / 1e3
 
     # -- routes ------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        with _trace_context(self._request_trace_id()):
-            self._handle_get()
 
     def _handle_get(self) -> None:
         url = urlparse(self.path)
         if url.path == "/healthz":
             health = self.server.service.health_snapshot()
             status = 200 if health["status"] in _SERVING_STATUSES else 503
-            self._send_json(status, health)
+            self.send_json(status, health)
         elif url.path == "/metrics":
             fmt = parse_qs(url.query).get("format", ["prometheus"])[0]
             if fmt == "json":
-                self._send_json(200, self.server.service.metrics.to_json_dict())
+                self.send_json(200, self.server.service.metrics.to_json_dict())
             else:
-                self._send_text(
+                self.send_text(
                     200,
                     self.server.service.metrics.render_prometheus(),
                     "text/plain; version=0.0.4",
                 )
         elif url.path == "/model":
-            self._send_json(
+            self.send_json(
                 200,
                 {
                     "model": self.server.service.describe_model(),
@@ -209,11 +152,10 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 n = int(parse_qs(url.query).get("n", [str(DEFAULT_DEBUG_TRACES)])[0])
             except ValueError:
-                self._send_json(400, {"error": "bad_request", "detail": '"n" must be an integer'})
-                return
+                raise BadRequest('"n" must be an integer') from None
             n = max(1, min(n, MAX_DEBUG_TRACES))
             tracer = self.server.service.tracer
-            self._send_json(
+            self.send_json(
                 200,
                 {
                     "traces": tracer.recent(n),
@@ -222,150 +164,90 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
         else:
-            self._send_json(404, {"error": "not_found", "path": url.path})
+            self.send_json(404, {"error": "not_found", "path": url.path})
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        with _trace_context(self._request_trace_id()) as trace_id:
-            self._handle_post(trace_id)
-
-    def _handle_post(self, trace_id: str) -> None:
+    def _handle_post(self) -> None:
         if urlparse(self.path).path != "/localize":
-            self._send_json(404, {"error": "not_found", "path": self.path})
+            self.send_json(404, {"error": "not_found", "path": self.path})
             return
-        try:
-            payload = self._parse_json_body(self._read_body())
-            graph, top_k, scenario = self._parse_localize_payload(payload)
-            timeout_s = self._deadline_s(payload)
-        except _PayloadTooLarge as exc:
-            self._send_json(
-                413,
-                {
-                    "error": "payload_too_large",
-                    "detail": str(exc),
-                    "limit_bytes": exc.limit,
-                    "got_bytes": exc.length,
-                    "trace_id": trace_id,
-                },
-            )
-            return
-        except _BadRequest as exc:
-            self._send_json(
-                400, {"error": "bad_request", "detail": str(exc), "trace_id": trace_id}
-            )
-            return
+        payload = self._parse_json_body(self.read_body(self.server.max_body_bytes))
+        graph, top_k, scenario = self._parse_localize_payload(payload)
+        timeout_s = self._deadline_s(payload)
         try:
             result = self.server.service.localize(
                 graph, top_k=top_k, timeout_s=timeout_s, scenario=scenario
             )
         except UnknownScenarioError as exc:
-            self._send_json(
-                422,
-                {
-                    "error": "unknown_scenario",
-                    "scenario": str(exc.name),
-                    "known": exc.known,
-                    "trace_id": trace_id,
-                },
-            )
-            return
+            raise ErrorResponse(
+                422, "unknown_scenario", scenario=str(exc.name), known=exc.known
+            ) from exc
         except GraphContractError as exc:
-            self._send_json(
+            raise ErrorResponse(
                 422,
-                {
-                    "error": "contract_violation",
-                    "graph": exc.graph_name,
-                    "violations": [v.to_json_dict() for v in exc.violations],
-                    "trace_id": trace_id,
-                },
-            )
-            return
+                "contract_violation",
+                graph=exc.graph_name,
+                violations=[v.to_json_dict() for v in exc.violations],
+            ) from exc
         except LoadSheddedError as exc:
-            self._send_json(
+            raise ErrorResponse(
                 429,
-                {
-                    "error": "load_shed",
-                    "detail": str(exc),
-                    "retry_after_s": exc.retry_after_s,
-                    "trace_id": trace_id,
-                },
+                "load_shed",
+                str(exc),
                 headers={"Retry-After": f"{max(1, round(exc.retry_after_s))}"},
-            )
-            return
+                retry_after_s=exc.retry_after_s,
+            ) from exc
         except CircuitOpenError as exc:
-            self._send_json(
+            raise ErrorResponse(
                 503,
-                {
-                    "error": "circuit_open",
-                    "detail": str(exc),
-                    "retry_after_s": exc.retry_after_s,
-                    "trace_id": trace_id,
-                },
+                "circuit_open",
+                str(exc),
                 headers={"Retry-After": f"{max(1, round(exc.retry_after_s))}"},
-            )
-            return
+                retry_after_s=exc.retry_after_s,
+            ) from exc
         except (DeadlineExceededError, FutureTimeoutError) as exc:
             deadline_s = getattr(exc, "deadline_s", None)
-            self._send_json(
+            raise ErrorResponse(
                 504,
-                {
-                    "error": "deadline_exceeded",
-                    "detail": str(exc) or "localization timed out",
-                    "deadline_ms": None if deadline_s is None else round(deadline_s * 1e3, 3),
-                    "trace_id": trace_id,
-                },
-            )
-            return
+                "deadline_exceeded",
+                str(exc) or "localization timed out",
+                deadline_ms=None if deadline_s is None else round(deadline_s * 1e3, 3),
+            ) from exc
         except WorkerCrashedError as exc:
-            self._send_json(
-                503, {"error": "worker_crashed", "detail": str(exc), "trace_id": trace_id}
-            )
-            return
-        except (ServiceDrainingError, RuntimeError) as exc:
-            if isinstance(exc, ServiceDrainingError) or "closed" in str(exc):
-                self._send_json(
-                    503, {"error": "draining", "detail": str(exc), "trace_id": trace_id}
-                )
-                return
+            raise ErrorResponse(503, "worker_crashed", str(exc)) from exc
+        except Exception as exc:
+            if isinstance(exc, ServiceDrainingError) or (
+                isinstance(exc, RuntimeError) and "closed" in str(exc)
+            ):
+                raise ErrorResponse(503, "draining", str(exc)) from exc
             log.exception("localization_failed")
-            self._send_json(
-                500,
-                {"error": "internal", "detail": "localization failed", "trace_id": trace_id},
-            )
-            return
-        except Exception:
-            log.exception("localization_failed")
-            self._send_json(
-                500,
-                {"error": "internal", "detail": "localization failed", "trace_id": trace_id},
-            )
-            return
-        self._send_json(200, result.to_json_dict())
+            raise ErrorResponse(500, "internal", "localization failed") from exc
+        self.send_json(200, result.to_json_dict())
 
     @staticmethod
     def _parse_json_body(body: bytes) -> dict[str, Any]:
         try:
             payload = json.loads(body)
         except json.JSONDecodeError as exc:
-            raise _BadRequest(f"invalid JSON: {exc}") from exc
+            raise BadRequest(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "graph" not in payload:
-            raise _BadRequest('payload must be an object with a "graph" field')
+            raise BadRequest('payload must be an object with a "graph" field')
         return payload
 
     @staticmethod
     def _parse_localize_payload(payload: dict[str, Any]) -> tuple[CircuitGraph, int, str | None]:
         top_k = payload.get("top_k", DEFAULT_TOP_K)
         if not isinstance(top_k, int) or top_k < 1:
-            raise _BadRequest(f'"top_k" must be a positive integer, got {top_k!r}')
+            raise BadRequest(f'"top_k" must be a positive integer, got {top_k!r}')
         scenario = payload.get("scenario")
         if scenario is not None and (not isinstance(scenario, str) or not scenario):
-            raise _BadRequest(
+            raise BadRequest(
                 f'"scenario" must be a non-empty string, got {scenario!r} '
                 f"(known: {', '.join(scenario_names())})"
             )
         try:
             graph = CircuitGraph.from_json_dict(payload["graph"])
         except Exception as exc:
-            raise _BadRequest(f"unreadable graph payload: {type(exc).__name__}: {exc}") from exc
+            raise BadRequest(f"unreadable graph payload: {type(exc).__name__}: {exc}") from exc
         return graph, top_k, scenario
 
 

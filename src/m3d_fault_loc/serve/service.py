@@ -17,10 +17,9 @@ single-worker topology) each own one *shard*: a bounded queue plus a worker
 thread that drains it into micro-batches (up to ``max_batch`` graphs or
 ``batch_window_s`` of waiting, whichever first), runs one stacked
 ``node_scores_batch`` forward pass, and resolves the per-request futures.
-Requests are routed to shards by **hash of content digest**, so repeat
-topologies land on the same worker — keeping the per-digest
-``AggregationOperatorCache`` entries and result-LRU traffic coherent per
-shard instead of ping-ponging across the pool.
+Requests are routed to shards by **hash of content digest**, so a repeat
+payload lands on the same worker. The model, and with it its
+topology-keyed ``AggregationOperatorCache``, is shared by every shard.
 
 Failure modes are explicit and bounded (see
 :mod:`m3d_fault_loc.serve.resilience`):
@@ -918,11 +917,7 @@ class LocalizationService:
         model, info, prefix = self._model_state
         t0 = time.perf_counter()
         try:
-            # Request digests double as aggregation-operator cache keys: a
-            # repeat topology skips the sparse-operator rebuild entirely.
-            scores_per_graph = model.node_scores_batch(
-                [p.graph for p in batch], digests=[p.digest for p in batch]
-            )
+            scores_per_graph = model.node_scores_batch([p.graph for p in batch])
         except Exception as exc:
             self._breaker.record_failure()
             for p in batch:

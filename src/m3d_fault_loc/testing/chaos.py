@@ -35,12 +35,11 @@ Network/replica-level faults for the router tier:
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
 from collections.abc import Sequence
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -48,6 +47,7 @@ import numpy as np
 
 from m3d_fault_loc.graph.schema import CircuitGraph
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.serve.http import TRACE_HEADER, JSONHandler
 from m3d_fault_loc.serve.registry import ModelRegistry
 from m3d_fault_loc.serve.service import WORKER_THREAD_PREFIX
 
@@ -102,11 +102,9 @@ class ChaosModelWrapper:
             self.batch_calls += 1
             return self.batch_calls
 
-    def node_scores_batch(
-        self, graphs: Sequence[CircuitGraph], digests: Sequence[str | None] | None = None
-    ) -> list[np.ndarray]:
+    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
         self._next_call()
-        return self._base.node_scores_batch(graphs, digests=digests)
+        return self._base.node_scores_batch(graphs)
 
 
 class CrashOnNthBatchModel(ChaosModelWrapper):
@@ -138,9 +136,7 @@ class CrashOnNthBatchModel(ChaosModelWrapper):
         self.kill_worker = kill_worker
         self.message = message
 
-    def node_scores_batch(
-        self, graphs: Sequence[CircuitGraph], digests: Sequence[str | None] | None = None
-    ) -> list[np.ndarray]:
+    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
         call = self._next_call()
         should_crash = call >= self.crash_on and (
             self.crash_count is None or call < self.crash_on + self.crash_count
@@ -150,7 +146,7 @@ class CrashOnNthBatchModel(ChaosModelWrapper):
             if self.kill_worker:
                 raise WorkerKilled(detail)
             raise RuntimeError(detail)
-        return self._base.node_scores_batch(graphs, digests=digests)
+        return self._base.node_scores_batch(graphs)
 
 
 class SlowBatchModel(ChaosModelWrapper):
@@ -166,13 +162,11 @@ class SlowBatchModel(ChaosModelWrapper):
         self.delay_s = delay_s
         self.slow_calls = slow_calls
 
-    def node_scores_batch(
-        self, graphs: Sequence[CircuitGraph], digests: Sequence[str | None] | None = None
-    ) -> list[np.ndarray]:
+    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
         call = self._next_call()
         if self.slow_calls is None or call <= self.slow_calls:
             time.sleep(self.delay_s)
-        return self._base.node_scores_batch(graphs, digests=digests)
+        return self._base.node_scores_batch(graphs)
 
 
 def corrupt_artifact(
@@ -248,9 +242,7 @@ class CrashShardWorkerModel(ChaosModelWrapper):
         self.crash_count = crash_count
         self.shard_calls = 0
 
-    def node_scores_batch(
-        self, graphs: Sequence[CircuitGraph], digests: Sequence[str | None] | None = None
-    ) -> list[np.ndarray]:
+    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
         self._next_call()
         if current_shard_index() == self.target_shard:
             with self._lock:
@@ -262,7 +254,7 @@ class CrashShardWorkerModel(ChaosModelWrapper):
                 raise WorkerKilled(
                     f"injected kill of shard {self.target_shard} (shard call {call})"
                 )
-        return self._base.node_scores_batch(graphs, digests=digests)
+        return self._base.node_scores_batch(graphs)
 
 
 class StallShardModel(ChaosModelWrapper):
@@ -289,9 +281,7 @@ class StallShardModel(ChaosModelWrapper):
     def release(self) -> None:
         self._release.set()
 
-    def node_scores_batch(
-        self, graphs: Sequence[CircuitGraph], digests: Sequence[str | None] | None = None
-    ) -> list[np.ndarray]:
+    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
         self._next_call()
         if current_shard_index() == self.target_shard and not self._release.is_set():
             with self._lock:
@@ -302,27 +292,16 @@ class StallShardModel(ChaosModelWrapper):
                 # Bounded even for the "wedge forever" mode: a forgotten
                 # release() must fail the test loudly, not hang the suite.
                 self._release.wait(timeout=60.0)
-        return self._base.node_scores_batch(graphs, digests=digests)
+        return self._base.node_scores_batch(graphs)
 
 
-class _StubReplicaHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _StubReplicaHandler(JSONHandler):
+    access_event = None  # chaos stubs stay silent
     server: "StubReplica"
 
-    def log_message(self, format: str, *args: Any) -> None:
-        pass  # chaos stubs stay silent
-
-    def _respond(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _handle(self, method: str) -> None:
+    def route(self, method: str) -> None:
         stub = self.server
-        stub.record(method, self.path, self.headers.get("X-M3D-Trace-Id"))
+        stub.record(method, self.path, self.headers.get(TRACE_HEADER))
         action = stub.next_action()
         if action == "hang":
             time.sleep(stub.hang_s)
@@ -332,17 +311,16 @@ class _StubReplicaHandler(BaseHTTPRequestHandler):
             self.connection.close()
             return
         elif action == "fail":
-            self._respond(503, {"error": "injected_failure", "replica": stub.name})
+            self.send_json(503, {"error": "injected_failure", "replica": stub.name})
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length > 0 else b""
+        body = self.read_body(required=False)
         if self.path == "/healthz":
-            self._respond(200, {"status": stub.health_status, "replica": stub.name})
+            self.send_json(200, {"status": stub.health_status, "replica": stub.name})
             return
         if self.path.startswith("/metrics"):
-            self._respond(200, stub.metrics_payload())
+            self.send_json(200, stub.metrics_payload())
             return
-        self._respond(
+        self.send_json(
             200,
             {
                 "replica": stub.name,
@@ -352,12 +330,6 @@ class _StubReplicaHandler(BaseHTTPRequestHandler):
                 "served": stub.served_count(),
             },
         )
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        self._handle("POST")
 
 
 class StubReplica(ThreadingHTTPServer):

@@ -24,6 +24,7 @@ RACECHECK_MODULES = (
     "test_concurrency_stress",
     "test_pool_chaos",
     "test_router",
+    "test_serve_http",
 )
 
 

@@ -86,19 +86,6 @@ def test_model_scores_identical_with_and_without_cache(graphs):
         assert np.array_equal(cached_model.node_scores(graph), fresh)  # warm hit
 
 
-def test_batch_operator_with_request_digests_matches_topology_keyed(graphs):
-    batch = graphs[:6]
-    digests = [graph_digest(g) for g in batch]
-    by_digest = AggregationOperatorCache().batch_operator(batch, digests=digests)
-    by_topology = AggregationOperatorCache().batch_operator(batch)
-    assert _same_csr(by_digest, by_topology)
-
-
-def test_batch_operator_digest_count_mismatch_rejected(graphs):
-    with pytest.raises(ValueError, match="digests"):
-        AggregationOperatorCache().batch_operator(graphs[:3], digests=["only-one"])
-
-
 # -- collision safety -------------------------------------------------------
 
 
@@ -136,15 +123,14 @@ def test_distinct_topologies_never_share_an_entry(graphs):
         seen[key] = graph.num_nodes
 
 
-def test_caller_digest_and_dtype_partition_the_key_space(graphs):
+def test_dtype_partitions_the_key_space(graphs):
     cache = AggregationOperatorCache()
     graph = graphs[0]
-    cache.get_or_build(graph, digest="digest-a")
-    cache.get_or_build(graph, digest="digest-b")
-    cache.get_or_build(graph, dtype=np.float32, digest="digest-a")
-    assert len(cache) == 3  # distinct keys, no cross-dtype or cross-digest hits
-    assert cache.get_or_build(graph, digest="digest-a").dtype == np.float64
-    assert cache.get_or_build(graph, dtype=np.float32, digest="digest-a").dtype == np.float32
+    cache.get_or_build(graph)
+    cache.get_or_build(graph, dtype=np.float32)
+    assert len(cache) == 2  # one topology, one entry per dtype, no cross-dtype hits
+    assert cache.get_or_build(graph).dtype == np.float64
+    assert cache.get_or_build(graph, dtype=np.float32).dtype == np.float32
     assert cache.stats()["hits"] == 2
 
 
@@ -188,7 +174,7 @@ def test_operator_larger_than_budget_served_but_not_retained(graphs):
 def test_max_entries_bound_enforced(graphs):
     cache = AggregationOperatorCache(max_entries=4)
     for graph in graphs[:12]:
-        cache.get_or_build(graph, digest=graph_digest(graph))
+        cache.get_or_build(graph)
     assert len(cache) <= 4
     assert cache.stats()["evictions"] >= 8
 

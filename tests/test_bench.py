@@ -72,13 +72,12 @@ def test_workload_is_deterministic_across_builds():
     assert len(a.graphs) == TINY.n_graphs
 
 
-def test_repeat_batch_cycles_graphs_with_matching_digests():
+def test_repeat_batch_cycles_graphs():
     workload = build_workload(TINY)
-    graphs, digests = repeat_batch(workload, batch_size=10)
-    assert len(graphs) == len(digests) == 10
-    for i, (graph, digest) in enumerate(zip(graphs, digests)):
+    graphs = repeat_batch(workload, batch_size=10)
+    assert len(graphs) == 10
+    for i, graph in enumerate(graphs):
         assert graph is workload.graphs[i % TINY.n_graphs]
-        assert digest == workload.digests[i % TINY.n_graphs]
 
 
 # -- baseline fidelity ------------------------------------------------------
@@ -90,8 +89,8 @@ def test_legacy_baseline_matches_optimized_batch_exactly():
     workload = build_workload(TINY)
     ctx = BenchContext(hidden=16)
     model = ctx.make_model()
-    graphs, digests = repeat_batch(workload, batch_size=9)
-    optimized = model.node_scores_batch(graphs, digests=digests)
+    graphs = repeat_batch(workload, batch_size=9)
+    optimized = model.node_scores_batch(graphs)
     legacy = legacy_node_scores_batch(model, graphs)
     assert len(optimized) == len(legacy) == 9
     for opt, leg in zip(optimized, legacy):

@@ -123,10 +123,7 @@ def test_single_graph_batch_falls_through_to_node_scores(dataset):
     graph = dataset[0]
     (plain,) = model.node_scores_batch([graph])
     assert np.array_equal(plain, model.node_scores(graph))
-    (keyed,) = model.node_scores_batch([graph], digests=["req-digest"])
-    assert np.array_equal(keyed, plain)
-    stats = model.agg_cache.stats()
-    assert stats["size"] <= 2  # one topology key + one request-digest key
+    assert model.agg_cache.stats()["size"] == 1  # one topology key
 
 
 def test_scratch_buffer_reuse_never_changes_scores(dataset):
@@ -140,13 +137,17 @@ def test_scratch_buffer_reuse_never_changes_scores(dataset):
 
 
 def test_digest_keyed_scoring_hits_operator_cache(dataset):
+    """Two observations of one netlist (different features) share the
+    topology-keyed operator; scores still follow the features."""
     model = DelayFaultLocalizer(hidden=8, seed=4)
     graph = dataset[0]
-    first = model.node_scores(graph, digest="request-digest")
+    other = type(graph)(**{**graph.__dict__, "x": graph.x + np.float32(0.5)})
+    first = model.node_scores(graph)
     assert model.agg_cache.stats()["hits"] == 0
-    second = model.node_scores(graph, digest="request-digest")
+    second = model.node_scores(other)
     assert model.agg_cache.stats()["hits"] == 1
-    assert np.array_equal(first, second)
+    assert np.array_equal(second, DelayFaultLocalizer(hidden=8, seed=4).node_scores(other))
+    assert not np.array_equal(first, second)
 
 
 def test_float32_precision_tracks_float64_within_tolerance(dataset):

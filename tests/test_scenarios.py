@@ -205,7 +205,7 @@ def test_perfect_model_hits_multi_delay_fault_set():
     graphs = scenario.generate(SPEC)
 
     class Oracle:
-        def node_scores(self, graph, digest=None):
+        def node_scores(self, graph):
             scores = np.zeros(graph.num_nodes)
             names = list(graph.node_names)
             for fault in graph.meta["faults"]:

@@ -1,0 +1,175 @@
+"""The shared JSON handler on the wire: framing and body limits.
+
+Driven over raw sockets against the real ``m3d-serve`` server and the
+``m3d-route`` router (in front of a :class:`StubReplica`):
+
+- a response that leaves the request body unread closes the connection, so
+  the unread bytes are never answered as a smuggled second request;
+- a malformed or oversized ``Content-Length`` gets a structured 400/413
+  carrying the trace id, on the server and the router alike.
+"""
+
+import json
+import socket
+import threading
+
+import pytest
+
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.obs.context import sanitize_trace_id
+from m3d_fault_loc.serve.http import DEFAULT_MAX_BODY_BYTES, TRACE_HEADER
+from m3d_fault_loc.serve.router import ReplicaRouter, create_router_server
+from m3d_fault_loc.serve.server import create_server
+from m3d_fault_loc.serve.service import LocalizationService
+from m3d_fault_loc.testing.chaos import StubReplica
+
+SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _serve(server):
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return thread
+
+
+@pytest.fixture()
+def live_server():
+    service = LocalizationService(
+        model=DelayFaultLocalizer(hidden=8, seed=4), batch_window_s=0.001
+    )
+    server = create_server(service, max_body_bytes=10)
+    thread = _serve(server)
+    yield server
+    server.shutdown()
+    server.server_close()
+    service.close()
+    thread.join(timeout=5)
+
+
+@pytest.fixture()
+def live_router():
+    stub = StubReplica("a").start()
+    router = ReplicaRouter([("127.0.0.1", stub.port)])
+    server = create_router_server(router)
+    thread = _serve(server)
+    yield server, router, stub
+    server.shutdown()
+    server.server_close()
+    router.close()
+    stub.stop()
+    thread.join(timeout=5)
+
+
+def exchange(port: int, raw: bytes, quiet_s: float = 1.0):
+    """Send ``raw`` on one connection and read until the server closes it or
+    stays quiet for ``quiet_s`` after its first bytes; return the parsed
+    responses and whether the server closed the connection."""
+    data, closed = b"", False
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(raw)
+        try:
+            while chunk := sock.recv(65536):
+                data += chunk
+                sock.settimeout(quiet_s)
+            closed = True
+        except ConnectionResetError:
+            closed = True
+        except TimeoutError:
+            pass
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        length = int(headers["Content-Length"])
+        responses.append((int(lines[0].split()[1]), headers, rest[:length]))
+        data = rest[length:]
+    return responses, closed
+
+
+def post(path: str, content_length: str | None, body: bytes = b"") -> bytes:
+    head = f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+    if content_length is not None:
+        head += f"Content-Length: {content_length}\r\n"
+    return head.encode() + b"\r\n" + body
+
+
+# -- unread bodies close the connection -------------------------------------
+
+
+def _assert_single_closing_answer(responses, closed, status):
+    assert [r[0] for r in responses] == [status], "the unread body was answered"
+    assert responses[0][1]["Connection"] == "close"
+    assert closed
+
+
+def test_payload_too_large_does_not_answer_the_unread_body(live_server):
+    responses, closed = exchange(
+        live_server.port, post("/localize", str(len(SMUGGLED)), SMUGGLED)
+    )
+    _assert_single_closing_answer(responses, closed, 413)
+    assert json.loads(responses[0][2])["error"] == "payload_too_large"
+
+
+def test_post_to_unknown_path_does_not_answer_the_unread_body(live_server):
+    responses, closed = exchange(live_server.port, post("/nope", str(len(SMUGGLED)), SMUGGLED))
+    _assert_single_closing_answer(responses, closed, 404)
+
+
+def test_draining_router_does_not_answer_the_unread_body(live_router):
+    server, router, stub = live_router
+    router.begin_drain()
+    responses, closed = exchange(server.port, post("/localize", str(len(SMUGGLED)), SMUGGLED))
+    _assert_single_closing_answer(responses, closed, 503)
+    assert stub.requests_seen() == []
+
+
+# -- malformed and oversized Content-Length ---------------------------------
+
+#: case -> (Content-Length header value or None for absent, status, error)
+CONTENT_LENGTH_CASES = {
+    "abc": ("abc", 400, "bad_request"),
+    "1e3": ("1e3", 400, "bad_request"),
+    "-5": ("-5", 400, "bad_request"),
+    "missing": (None, 400, "bad_request"),
+    "over-cap": (str(DEFAULT_MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+}
+
+
+@pytest.fixture(params=["server", "router"])
+def front(request):
+    """``(kind, port, stub)`` for the server (default body cap, like the
+    router's) and for the router in front of a stub replica."""
+    if request.param == "router":
+        server, _, stub = request.getfixturevalue("live_router")
+        yield "router", server.port, stub
+        return
+    service = LocalizationService(model=DelayFaultLocalizer(hidden=8, seed=4))
+    server = create_server(service)
+    thread = _serve(server)
+    yield "server", server.port, None
+    server.shutdown()
+    server.server_close()
+    service.close()
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("case", sorted(CONTENT_LENGTH_CASES))
+def test_malformed_content_length_gets_a_structured_answer(front, case):
+    kind, port, stub = front
+    value, status, error = CONTENT_LENGTH_CASES[case]
+    responses, closed = exchange(port, post("/localize", value))
+    if kind == "router" and case == "missing":
+        # No body declared is an empty body: forwarded, the replica decides.
+        assert [r[0] for r in responses] == [200]
+        assert json.loads(responses[0][2])["echo_bytes"] == 0
+        return
+    assert [r[0] for r in responses] == [status]
+    headers, payload = responses[0][1], json.loads(responses[0][2])
+    assert payload["error"] == error
+    assert sanitize_trace_id(headers[TRACE_HEADER]) is not None
+    assert payload["trace_id"] == headers[TRACE_HEADER]
+    if value is not None:  # the declared body was never read
+        assert headers["Connection"] == "close" and closed
+    if stub is not None:
+        assert stub.requests_seen() == []

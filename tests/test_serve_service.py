@@ -8,7 +8,8 @@ import pytest
 from fixture_graphs import make_bad_dtype_graph, make_high_fanout_graph
 from m3d_fault_loc.analysis.engine import RuleConfig, default_engine
 from m3d_fault_loc.data.dataset import GraphContractError
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
+from m3d_fault_loc.data.synthetic import random_netlist, synthesize_fault_dataset
+from m3d_fault_loc.faults.injector import make_fault_sample
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.serve.registry import ModelRegistry
 from m3d_fault_loc.serve.service import LocalizationService
@@ -59,6 +60,19 @@ def test_repeat_request_hits_cache_without_forward_pass(graphs):
         assert second.top == first.top
         assert service.m_forward_passes.value == passes_after_first
         assert service.m_cache_hits.value == 1
+
+
+def test_observations_of_one_netlist_share_one_aggregation_operator():
+    """Each request is one die's timing over the same design: the operator
+    cache is keyed by topology, so only the first observation builds it."""
+    rng = np.random.default_rng(17)
+    netlist = random_netlist(rng, n_gates=12, n_inputs=3)
+    observations = [make_fault_sample(netlist, rng) for _ in range(6)]
+    with make_service() as service:
+        for graph in observations:
+            assert service.localize(graph).cached is False
+        stats = service.cache_stats()["agg_operator"]
+    assert (stats["misses"], stats["hits"]) == (1, len(observations) - 1)
 
 
 def test_different_top_k_is_not_a_false_cache_hit(graphs):
