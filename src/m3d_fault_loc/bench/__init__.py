@@ -1,29 +1,6 @@
-"""``m3d-bench`` — the repeatable offline benchmark harness.
+"""Benchmark support shared with ``e2ebench``: the machine fingerprint
+(:mod:`m3d_fault_loc.bench.harness`).
 
-Times the serving stack's real hot paths (graph build, contract gate,
-content digest, single/batched scoring, cache lookup, end-to-end
-``/localize`` under concurrent clients) on pinned seeded workloads and
-writes ``BENCH_<n>.json`` trajectories, so every future "made it faster"
-claim is a diff between two files produced by the same methodology.
-
-See ``docs/benchmarking.md`` for the methodology and
-:mod:`m3d_fault_loc.bench.cli` for the CLI.
+The benchmark itself is ``e2ebench/`` at the repository root, declared by
+``BENCHMARK.json``; see ``e2ebench/README.md``.
 """
-
-from m3d_fault_loc.bench.harness import (
-    BENCH_SCHEMA_VERSION,
-    machine_fingerprint,
-    time_case,
-    validate_payload,
-)
-from m3d_fault_loc.bench.workloads import SIZES, WorkloadSpec, build_workload
-
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "SIZES",
-    "WorkloadSpec",
-    "build_workload",
-    "machine_fingerprint",
-    "time_case",
-    "validate_payload",
-]

@@ -1,39 +1,22 @@
-"""Timing methodology + the ``BENCH_<n>.json`` result schema.
+"""Machine fingerprint for benchmark records.
 
-One bench sample is one call of the case's closure. The harness runs
-``warmup`` unrecorded calls (JIT-free Python still has one-time costs:
-cache fills, lazy imports, branch-predictor/allocator warmth), then
-``repeats`` recorded calls, and reports *trimmed* statistics — the top and
-bottom ~20% of samples are dropped for the trimmed mean, and the median is
-used as the headline number — so one GC pause or scheduler hiccup cannot
-manufacture (or mask) a regression.
-
-Results carry a machine fingerprint. Comparing files from different
-fingerprints is allowed (``m3d-bench compare`` warns but proceeds): the
-regression tripwire in CI is deliberately generous for exactly that reason.
+``e2ebench/record.py`` stamps every ``BENCH_<n>.json`` it writes with
+:func:`machine_fingerprint`, so two records can be checked for a shared
+host and software stack before their numbers are compared.
 """
 
 from __future__ import annotations
 
 import os
 import platform
-import time
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 import scipy
 
-BENCH_SCHEMA_VERSION = 1
-
-#: Fraction of samples trimmed from each tail for the trimmed mean.
-TRIM_FRACTION = 0.2
-
-#: Keys every per-case ``stats`` block must carry.
-STAT_KEYS = ("median_s", "trimmed_mean_s", "p10_s", "p90_s", "min_s", "max_s", "repeats")
-
 
 def machine_fingerprint() -> dict[str, Any]:
-    """Where these numbers came from; compared (loosely) by ``compare``."""
+    """Where a record's numbers came from: platform, interpreter and numeric stack."""
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
@@ -42,86 +25,3 @@ def machine_fingerprint() -> dict[str, Any]:
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
     }
-
-
-def time_case(
-    fn: Callable[[], Any],
-    repeats: int = 7,
-    warmup: int = 2,
-) -> dict[str, Any]:
-    """Run ``fn`` ``warmup + repeats`` times; return trimmed stats in seconds."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    for _ in range(warmup):
-        fn()
-    samples = np.empty(repeats, dtype=np.float64)
-    for i in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples[i] = time.perf_counter() - t0
-    ordered = np.sort(samples)
-    trim = int(len(ordered) * TRIM_FRACTION)
-    trimmed = ordered[trim : len(ordered) - trim] if trim else ordered
-    return {
-        "median_s": float(np.median(samples)),
-        "trimmed_mean_s": float(trimmed.mean()),
-        "p10_s": float(np.quantile(samples, 0.1)),
-        "p90_s": float(np.quantile(samples, 0.9)),
-        "min_s": float(ordered[0]),
-        "max_s": float(ordered[-1]),
-        "repeats": repeats,
-    }
-
-
-def validate_payload(payload: Any) -> list[str]:
-    """Schema check for a ``BENCH_<n>.json`` payload; returns error strings.
-
-    Used by the test suite, by ``m3d-bench compare`` (both sides must be
-    valid before ratios mean anything), and by CI's bench-smoke job.
-    """
-    errors: list[str] = []
-    if not isinstance(payload, dict):
-        return ["payload must be a JSON object"]
-    if payload.get("schema_version") != BENCH_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version must be {BENCH_SCHEMA_VERSION}, got {payload.get('schema_version')!r}"
-        )
-    for key in ("machine", "config"):
-        if not isinstance(payload.get(key), dict):
-            errors.append(f"missing or non-object {key!r} block")
-    results = payload.get("results")
-    if not isinstance(results, list) or not results:
-        return errors + ["missing or empty 'results' list"]
-    seen: set[tuple[str, str]] = set()
-    for i, row in enumerate(results):
-        where = f"results[{i}]"
-        if not isinstance(row, dict):
-            errors.append(f"{where} must be an object")
-            continue
-        case, workload = row.get("case"), row.get("workload")
-        if not isinstance(case, str) or not case:
-            errors.append(f"{where}: missing case name")
-        if not isinstance(workload, str) or not workload:
-            errors.append(f"{where}: missing workload name")
-        if isinstance(case, str) and isinstance(workload, str):
-            if (case, workload) in seen:
-                errors.append(f"{where}: duplicate entry for {case}@{workload}")
-            seen.add((case, workload))
-        stats = row.get("stats")
-        if not isinstance(stats, dict):
-            errors.append(f"{where}: missing stats block")
-            continue
-        for key in STAT_KEYS:
-            value = stats.get(key)
-            if not isinstance(value, (int, float)):
-                errors.append(f"{where}: stats.{key} missing or non-numeric")
-            elif key != "repeats" and (value < 0 or not np.isfinite(value)):
-                errors.append(f"{where}: stats.{key} must be finite and >= 0")
-    return errors
-
-
-def index_results(payload: dict[str, Any]) -> dict[tuple[str, str], dict[str, Any]]:
-    """``(case, workload) -> result row`` for a validated payload."""
-    return {(row["case"], row["workload"]): row for row in payload["results"]}

@@ -7,8 +7,7 @@ every per-graph operator on every request. Both are pure functions of the
 graph *topology*, which in a serving workload repeats far more often than
 the feature matrix does — so this module makes them cacheable:
 
-- :func:`build_in_neighbor_mean` is the one true operator constructor
-  (``m3d_fault_loc.model.localizer.in_neighbor_mean`` delegates here);
+- :func:`build_in_neighbor_mean` is the one operator constructor;
 - :class:`AggregationOperatorCache` is a byte-bounded, thread-safe LRU of
   built operators keyed by :func:`topology_digest`, so every observation of
   one netlist shares one operator;
@@ -45,16 +44,15 @@ DEFAULT_CAPACITY_BYTES = 64 * 1024 * 1024
 DEFAULT_MAX_ENTRIES = 1024
 
 
-def build_in_neighbor_mean(graph: CircuitGraph, dtype: np.dtype | type = np.float64) -> sp.csr_matrix:
+def build_in_neighbor_mean(graph: CircuitGraph) -> sp.csr_matrix:
     """Row-normalized in-neighbor aggregation matrix M, so ``(M @ H)[i]`` is
     the mean feature of i's upstream drivers (zero row for PIs)."""
     n = graph.num_nodes
     if graph.num_edges == 0:
-        return sp.csr_matrix((n, n), dtype=dtype)
+        return sp.csr_matrix((n, n), dtype=np.float64)
     src, dst = graph.edge_index[0], graph.edge_index[1]
     indeg = np.maximum(graph.in_degrees(), 1).astype(np.float64)
-    weights = (1.0 / indeg[dst]).astype(dtype, copy=False)
-    m = sp.csr_matrix((weights, (dst, src)), shape=(n, n))
+    m = sp.csr_matrix((1.0 / indeg[dst], (dst, src)), shape=(n, n))
     m.sort_indices()
     return m
 
@@ -116,11 +114,11 @@ def stack_block_diagonal(ops: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
 class AggregationOperatorCache:
     """Byte-bounded, thread-safe LRU of built aggregation operators.
 
-    Keys are the compute dtype plus :func:`topology_digest`, a SHA-256
-    content hash of exactly what the operator reads, so a key collision
-    means identical bytes — a colliding-but-different graph cannot
-    occur short of breaking the hash, and distinct topologies always land in
-    distinct entries (asserted in the collision-safety tests).
+    Keys are :func:`topology_digest`, a SHA-256 content hash of exactly what
+    the operator reads, so a key collision means identical bytes — a
+    colliding-but-different graph cannot occur short of breaking the hash,
+    and distinct topologies always land in distinct entries (asserted in the
+    collision-safety tests).
 
     Eviction is LRU under two simultaneous bounds: total resident operator
     bytes (``capacity_bytes``) and entry count (``max_entries``). A single
@@ -146,12 +144,9 @@ class AggregationOperatorCache:
         self.misses = 0
         self.evictions = 0
 
-    def get_or_build(
-        self, graph: CircuitGraph, dtype: np.dtype | type = np.float64
-    ) -> sp.csr_matrix:
+    def get_or_build(self, graph: CircuitGraph) -> sp.csr_matrix:
         """Cached operator for ``graph``, building (and retaining) on a miss."""
-        dtype = np.dtype(dtype)
-        key = f"{dtype}:{topology_digest(graph)}"
+        key = topology_digest(graph)
         with self._lock:
             m = self._entries.get(key)
             if m is not None:
@@ -159,7 +154,7 @@ class AggregationOperatorCache:
                 self.hits += 1
                 return m
             self.misses += 1
-        m = build_in_neighbor_mean(graph, dtype=dtype)
+        m = build_in_neighbor_mean(graph)
         cost = operator_nbytes(m)
         with self._lock:
             if cost <= self.capacity_bytes and key not in self._entries:
@@ -168,11 +163,9 @@ class AggregationOperatorCache:
                 self._evict_locked()
         return m
 
-    def batch_operator(
-        self, graphs: Sequence[CircuitGraph], dtype: np.dtype | type = np.float64
-    ) -> sp.csr_matrix:
+    def batch_operator(self, graphs: Sequence[CircuitGraph]) -> sp.csr_matrix:
         """Block-diagonal batch operator assembled from cached per-graph CSRs."""
-        return stack_block_diagonal([self.get_or_build(g, dtype=dtype) for g in graphs])
+        return stack_block_diagonal([self.get_or_build(g) for g in graphs])
 
     def _evict_locked(self) -> None:
         while self._entries and (

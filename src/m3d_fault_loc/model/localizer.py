@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -23,17 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from m3d_fault_loc.graph.schema import FEATURE_COLUMNS, CircuitGraph
-from m3d_fault_loc.model.aggregate import AggregationOperatorCache, build_in_neighbor_mean
+from m3d_fault_loc.model.aggregate import AggregationOperatorCache
 from m3d_fault_loc.obs.profile import phase
-
-#: Compute dtypes selectable via the ``precision`` knob.
-PRECISIONS = ("float64", "float32")
-
-
-def in_neighbor_mean(graph: CircuitGraph) -> sp.csr_matrix:
-    """Row-normalized in-neighbor aggregation matrix M, so (M @ H)[i] is the
-    mean feature of i's upstream drivers (zero row for PIs)."""
-    return build_in_neighbor_mean(graph)
 
 
 class DelayFaultLocalizer:
@@ -44,7 +34,6 @@ class DelayFaultLocalizer:
         in_dim: int | None = None,
         hidden: int = 32,
         seed: int = 0,
-        precision: str = "float64",
         agg_cache: AggregationOperatorCache | None = None,
     ):
         self.in_dim = in_dim if in_dim is not None else len(FEATURE_COLUMNS)
@@ -75,34 +64,6 @@ class DelayFaultLocalizer:
         #: keyed by topology: every observation of a warm netlist skips the
         #: operator rebuild entirely.
         self.agg_cache = agg_cache if agg_cache is not None else AggregationOperatorCache()
-        #: Reusable (N, hidden) forward scratch, one set per thread — the
-        #: arrays are rebound between calls, so reuse never changes values,
-        #: only allocation traffic.
-        self._scratch = threading.local()
-        self.set_precision(precision)
-
-    # -- precision ---------------------------------------------------------
-
-    def set_precision(self, precision: str) -> None:
-        """Select the inference compute dtype (``float64`` or ``float32``).
-
-        ``float64`` (the default) computes directly on :attr:`params`, so
-        training updates are always visible. ``float32`` snapshots a cast
-        copy of the weights for the forward path — re-call after mutating
-        :attr:`params` — and is an approximation: scores match the float64
-        path to float32 tolerance, not exactly. Training
-        (:meth:`loss_and_grads`) always runs float64.
-        """
-        if precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}")
-        self.precision = precision
-        self._dtype = np.dtype(precision)
-        if precision == "float64":
-            self._fwd_params = self.params
-        else:
-            self._fwd_params = {
-                k: np.ascontiguousarray(v, dtype=self._dtype) for k, v in self.params.items()
-            }
 
     # -- forward ----------------------------------------------------------
 
@@ -131,10 +92,8 @@ class DelayFaultLocalizer:
         if len(graphs) == 1:
             return [self.node_scores(graphs[0])]
         sizes = [g.num_nodes for g in graphs]
-        x = np.concatenate(
-            [np.asarray(g.x, dtype=self._dtype) for g in graphs], axis=0
-        )
-        m = self.agg_cache.batch_operator(graphs, dtype=self._dtype)
+        x = np.concatenate([np.asarray(g.x, dtype=np.float64) for g in graphs], axis=0)
+        m = self.agg_cache.batch_operator(graphs)
         logits, _ = self._forward_arrays(x, m)
         return [part.copy() for part in np.split(logits, np.cumsum(sizes)[:-1])]
 
@@ -143,56 +102,18 @@ class DelayFaultLocalizer:
         return [int(np.argmax(scores)) for scores in self.node_scores_batch(graphs)]
 
     def _forward(self, graph: CircuitGraph):
-        # np.asarray is a no-op (no copy, no pass over the data) when the
-        # dtype already matches — the float32-precision path reads the
-        # schema's float32 features for free.
-        x = np.asarray(graph.x, dtype=self._dtype)
-        m = self.agg_cache.get_or_build(graph, dtype=self._dtype)
+        x = np.asarray(graph.x, dtype=np.float64)
+        m = self.agg_cache.get_or_build(graph)
         return self._forward_arrays(x, m)
 
-    def _buffers(self, n: int) -> dict[str, np.ndarray]:
-        """Thread-local (n, hidden) scratch, reallocated only on shape/dtype
-        change. Values written through ``out=`` are identical to what fresh
-        allocations would hold; only the allocation is skipped."""
-        ws = getattr(self._scratch, "ws", None)
-        if (
-            ws is None
-            or ws["a1"].shape[0] != n
-            or ws["a1"].shape[1] != self.hidden
-            or ws["a1"].dtype != self._dtype
-        ):
-            shape = (n, self.hidden)
-            ws = {
-                key: np.empty(shape, dtype=self._dtype)
-                for key in ("t1", "t2", "a1", "h1", "a2", "h2")
-            }
-            self._scratch.ws = ws
-        return ws
-
     def _forward_arrays(self, x: np.ndarray, m: sp.csr_matrix):
-        p = self._fwd_params if x.dtype == self._dtype else self.params
-        ws = self._buffers(x.shape[0]) if x.dtype == self._dtype else None
+        p = self.params
         mx = m @ x
-        if ws is not None:
-            # Same operations in the same order as the allocation-per-call
-            # path below — out= only redirects the destination buffer.
-            np.matmul(x, p["W1s"], out=ws["t1"])
-            np.matmul(mx, p["W1n"], out=ws["t2"])
-            a1 = np.add(ws["t1"], ws["t2"], out=ws["a1"])
-            a1 = np.add(a1, p["b1"], out=a1)
-            h1 = np.maximum(a1, 0.0, out=ws["h1"])
-            mh1 = m @ h1
-            np.matmul(h1, p["W2s"], out=ws["t1"])
-            np.matmul(mh1, p["W2n"], out=ws["t2"])
-            a2 = np.add(ws["t1"], ws["t2"], out=ws["a2"])
-            a2 = np.add(a2, p["b2"], out=a2)
-            h2 = np.maximum(a2, 0.0, out=ws["h2"])
-        else:
-            a1 = x @ p["W1s"] + mx @ p["W1n"] + p["b1"]
-            h1 = np.maximum(a1, 0.0)
-            mh1 = m @ h1
-            a2 = h1 @ p["W2s"] + mh1 @ p["W2n"] + p["b2"]
-            h2 = np.maximum(a2, 0.0)
+        a1 = x @ p["W1s"] + mx @ p["W1n"] + p["b1"]
+        h1 = np.maximum(a1, 0.0)
+        mh1 = m @ h1
+        a2 = h1 @ p["W2s"] + mh1 @ p["W2n"] + p["b2"]
+        h2 = np.maximum(a2, 0.0)
         # The head is an (N, h) @ (h, 1) product; BLAS picks N-dependent gemv
         # strategies whose last-ulp rounding would break the exact
         # single-vs-batch parity promised by node_scores_batch. einsum keeps

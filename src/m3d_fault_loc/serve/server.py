@@ -36,6 +36,8 @@ without any dependency beyond the standard library.
 from __future__ import annotations
 
 import json
+import math
+import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import ThreadingHTTPServer
 from typing import Any
@@ -70,6 +72,9 @@ DEFAULT_DEBUG_TRACES = 20
 MAX_DEBUG_TRACES = 256
 
 DEFAULT_TOP_K = 5
+
+#: Longest deadline a worker thread can wait on (``threading.TIMEOUT_MAX``).
+MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1e3
 
 #: Health statuses that still answer 200 (serving, possibly at reduced
 #: capacity); anything else is 503 so load balancers rotate traffic away.
@@ -110,16 +115,21 @@ class _Handler(JSONHandler):
 
     def _deadline_s(self, payload: dict[str, Any]) -> float | None:
         """Per-request deadline: ``deadline_ms`` in the body wins over the
-        ``X-M3D-Deadline-Ms`` header; absent means the service default."""
+        ``X-M3D-Deadline-Ms`` header; absent means the service default.
+        Booleans, NaN, infinities and values past ``MAX_DEADLINE_MS`` are
+        rejected: each would otherwise pass ``float()`` and then unbound the
+        request, put a bare ``NaN`` in the 504 body, or overflow the wait."""
         raw = payload.get("deadline_ms", self.headers.get("X-M3D-Deadline-Ms"))
         if raw is None:
             return None
         try:
-            deadline_ms = float(raw)
+            deadline_ms = math.nan if isinstance(raw, bool) else float(raw)
         except (TypeError, ValueError):
-            raise BadRequest(f'"deadline_ms" must be a positive number, got {raw!r}') from None
-        if deadline_ms <= 0:
-            raise BadRequest(f'"deadline_ms" must be a positive number, got {raw!r}')
+            deadline_ms = math.nan
+        if not 0 < deadline_ms <= MAX_DEADLINE_MS:  # false for NaN too
+            raise BadRequest(
+                f'"deadline_ms" must be a number in (0, {MAX_DEADLINE_MS:.0f}], got {raw!r}'
+            )
         return deadline_ms / 1e3
 
     # -- routes ------------------------------------------------------------
@@ -227,7 +237,8 @@ class _Handler(JSONHandler):
     def _parse_json_body(body: bytes) -> dict[str, Any]:
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder's recursion limit.
             raise BadRequest(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "graph" not in payload:
             raise BadRequest('payload must be an object with a "graph" field')
@@ -236,7 +247,7 @@ class _Handler(JSONHandler):
     @staticmethod
     def _parse_localize_payload(payload: dict[str, Any]) -> tuple[CircuitGraph, int, str | None]:
         top_k = payload.get("top_k", DEFAULT_TOP_K)
-        if not isinstance(top_k, int) or top_k < 1:
+        if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
             raise BadRequest(f'"top_k" must be a positive integer, got {top_k!r}')
         scenario = payload.get("scenario")
         if scenario is not None and (not isinstance(scenario, str) or not scenario):

@@ -384,16 +384,6 @@ class LocalizationService:
 
     # -- pool topology -----------------------------------------------------
 
-    @property
-    def _queue(self) -> queue.Queue[_Pending | None]:
-        """Shard 0's queue — the whole queue when ``num_workers == 1``.
-
-        Kept for single-worker callers (tests, debugging) that predate the
-        pool; pool-aware code should use :meth:`queue_depth` or
-        ``self._shards`` directly.
-        """
-        return self._shards[0].queue
-
     def queue_depth(self) -> int:
         """Requests waiting across every shard queue."""
         return sum(shard.queue.qsize() for shard in self._shards)

@@ -119,7 +119,7 @@ def test_expired_queue_entries_are_dropped_without_a_forward_pass(graphs):
         t_b = localize_in_thread(service, graphs[1], results, "b", timeout_s=0.05)
         t_a.join(timeout=5)
         t_b.join(timeout=5)
-        assert wait_until(lambda: service._queue.qsize() == 0)
+        assert wait_until(lambda: service.queue_depth() == 0)
         time.sleep(0.1)  # give the worker a chance to (wrongly) score graph b
         assert isinstance(results["b"], DeadlineExceededError)
         assert not isinstance(results["a"], Exception)
@@ -170,7 +170,7 @@ def test_full_queue_sheds_with_429_and_counter(graphs):
         t_a = localize_in_thread(service, graphs[0], results, "a", timeout_s=5.0)
         assert wait_until(lambda: model.batch_calls >= 1), "worker must be busy"
         t_b = localize_in_thread(service, graphs[1], results, "b", timeout_s=5.0)
-        assert wait_until(lambda: service._queue.qsize() == 1), "queue must be full"
+        assert wait_until(lambda: service.queue_depth() == 1), "queue must be full"
         with pytest.raises(LoadSheddedError) as exc_info:
             service.localize(graphs[2], timeout_s=5.0)
         assert exc_info.value.queue_limit == 1
@@ -192,7 +192,7 @@ def test_http_shed_maps_to_429_with_retry_after(graphs):
         localize_in_thread(service, graphs[0], results, "a", timeout_s=5.0)
         assert wait_until(lambda: model.batch_calls >= 1)
         localize_in_thread(service, graphs[1], results, "b", timeout_s=5.0)
-        assert wait_until(lambda: service._queue.qsize() == 1)
+        assert wait_until(lambda: service.queue_depth() == 1)
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         conn.request("POST", "/localize", body=json.dumps({"graph": graphs[2].to_json_dict()}))
         response = conn.getresponse()
@@ -432,7 +432,7 @@ def test_drain_deadline_fails_leftovers_deterministically(graphs):
         t_a = localize_in_thread(service, graphs[0], results, "a", timeout_s=10.0)
         assert wait_until(lambda: model.batch_calls >= 1)
         t_b = localize_in_thread(service, graphs[1], results, "b", timeout_s=10.0)
-        assert wait_until(lambda: service._queue.qsize() == 1)
+        assert wait_until(lambda: service.queue_depth() == 1)
         stats = service.drain(0.05)
         assert stats["failed"] >= 1
         assert service.m_drain_failed.value >= 1

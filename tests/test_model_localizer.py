@@ -6,7 +6,8 @@ import pytest
 from m3d_fault_loc.cli.train import localization_accuracy, train
 from m3d_fault_loc.data.dataset import CircuitGraphDataset
 from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
-from m3d_fault_loc.model.localizer import DelayFaultLocalizer, in_neighbor_mean
+from m3d_fault_loc.model.aggregate import build_in_neighbor_mean
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +20,7 @@ def dataset():
 
 def test_in_neighbor_mean_rows(dataset):
     graph = dataset[0]
-    m = in_neighbor_mean(graph)
+    m = build_in_neighbor_mean(graph)
     rows = np.asarray(m.sum(axis=1)).ravel()
     indeg = graph.in_degrees()
     assert np.allclose(rows[indeg > 0], 1.0)
@@ -126,16 +127,6 @@ def test_single_graph_batch_falls_through_to_node_scores(dataset):
     assert model.agg_cache.stats()["size"] == 1  # one topology key
 
 
-def test_scratch_buffer_reuse_never_changes_scores(dataset):
-    """Consecutive forwards of different sizes through one model (reusing and
-    reallocating the thread-local scratch) match a fresh model per call."""
-    warm = DelayFaultLocalizer(hidden=8, seed=6)
-    order = [dataset[0], dataset[1], dataset[0], dataset[2], dataset[0]]
-    for graph in order:
-        fresh = DelayFaultLocalizer(hidden=8, seed=6)
-        assert np.array_equal(warm.node_scores(graph), fresh.node_scores(graph))
-
-
 def test_digest_keyed_scoring_hits_operator_cache(dataset):
     """Two observations of one netlist (different features) share the
     topology-keyed operator; scores still follow the features."""
@@ -150,34 +141,9 @@ def test_digest_keyed_scoring_hits_operator_cache(dataset):
     assert not np.array_equal(first, second)
 
 
-def test_float32_precision_tracks_float64_within_tolerance(dataset):
-    f64 = DelayFaultLocalizer(hidden=16, seed=7)
-    f32 = DelayFaultLocalizer(hidden=16, seed=7, precision="float32")
-    for graph in (dataset[0], dataset[1]):
-        exact = f64.node_scores(graph)
-        approx = f32.node_scores(graph)
-        assert approx.dtype == np.float32
-        np.testing.assert_allclose(approx, exact, rtol=1e-4, atol=1e-4)
-    batched = f32.node_scores_batch([dataset[0], dataset[1]])
-    for graph, scores in zip((dataset[0], dataset[1]), batched):
-        assert np.array_equal(scores, f32.node_scores(graph))
-
-
-def test_set_precision_validates_and_resnapshots(dataset):
-    model = DelayFaultLocalizer(hidden=8, seed=7, precision="float32")
-    with pytest.raises(ValueError, match="precision"):
-        model.set_precision("float16")
-    graph = dataset[0]
-    before = model.node_scores(graph)
-    model.params["b3"] += 1.0  # float32 forward reads a stale snapshot...
-    assert np.array_equal(model.node_scores(graph), before)
-    model.set_precision("float32")  # ...until the snapshot is refreshed
-    np.testing.assert_allclose(model.node_scores(graph), before + np.float32(1.0))
-
-
-def test_float64_forward_sees_in_place_param_updates(dataset):
-    """The default precision computes on params directly — an optimizer step
-    is visible with no re-snapshot, matching pre-precision-knob behavior."""
+def test_forward_sees_in_place_param_updates(dataset):
+    """The forward computes on params directly, so an optimizer step that
+    mutates them in place is visible to the next call."""
     model = DelayFaultLocalizer(hidden=8, seed=7)
     graph = dataset[0]
     before = model.node_scores(graph)

@@ -175,7 +175,7 @@ def test_429_load_shed_carries_trace_id(live, graphs):
     t_a = call("a", graphs[0])
     assert wait_until(lambda: model.batch_calls >= 1)
     t_b = call("b", graphs[1])
-    assert wait_until(lambda: server.service._queue.qsize() == 1)
+    assert wait_until(lambda: server.service.queue_depth() == 1)
     status, body, headers = request_raw(
         server.port, "POST", "/localize", {"graph": graphs[2].to_json_dict()}
     )

@@ -104,9 +104,9 @@ def test_digest_sharding_spreads_and_everything_completes(graphs):
         assert pool["alive"] == POOL
 
 
-def test_single_worker_pool_keeps_legacy_queue_surface(graphs):
+def test_single_worker_pool_reports_queue_depth(graphs):
     with make_pool(base_model(), num_workers=1) as service:
-        assert service._queue is service._shards[0].queue
+        assert len(service._shards) == 1
         service.localize(graphs[0], timeout_s=5.0)
         assert service.queue_depth() == 0
 

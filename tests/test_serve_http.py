@@ -6,7 +6,10 @@ Driven over raw sockets against the real ``m3d-serve`` server and the
 - a response that leaves the request body unread closes the connection, so
   the unread bytes are never answered as a smuggled second request;
 - a malformed or oversized ``Content-Length`` gets a structured 400/413
-  carrying the trace id, on the server and the router alike.
+  carrying the trace id, on the server and the router alike;
+- a hostile ``/localize`` body or deadline header (undecodable JSON, a
+  boolean ``top_k``, a boolean or non-finite ``deadline_ms``) gets a
+  structured 400 with a trace id, never a dropped connection or a 5xx.
 """
 
 import json
@@ -14,6 +17,7 @@ import socket
 import threading
 
 import pytest
+from fixture_graphs import make_clean_graph
 
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.obs.context import sanitize_trace_id
@@ -87,8 +91,10 @@ def exchange(port: int, raw: bytes, quiet_s: float = 1.0):
     return responses, closed
 
 
-def post(path: str, content_length: str | None, body: bytes = b"") -> bytes:
-    head = f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+def post(
+    path: str, content_length: str | None, body: bytes = b"", extra_headers: str = ""
+) -> bytes:
+    head = f"POST {path} HTTP/1.1\r\nHost: x\r\n{extra_headers}"
     if content_length is not None:
         head += f"Content-Length: {content_length}\r\n"
     return head.encode() + b"\r\n" + body
@@ -173,3 +179,68 @@ def test_malformed_content_length_gets_a_structured_answer(front, case):
         assert headers["Connection"] == "close" and closed
     if stub is not None:
         assert stub.requests_seen() == []
+
+
+# -- hostile /localize payloads ---------------------------------------------
+
+GRAPH_JSON = json.dumps(make_clean_graph().to_json_dict()).encode()
+
+
+def _localize_body(fields: bytes = b"") -> bytes:
+    """A valid /localize body for the clean fixture graph plus raw ``fields``."""
+    return b'{"graph": ' + GRAPH_JSON + fields + b"}"
+
+
+#: case -> (raw request body, X-M3D-Deadline-Ms header value or None). The
+#: bodies are raw bytes so they can carry what json.dumps never writes:
+#: invalid UTF-8 and the NaN / Infinity / 1e309 number tokens.
+HOSTILE_CASES = {
+    "body-not-utf8": (b'{"graph": "\xff"}', None),
+    "body-nested-too-deep": (b"[" * 100_000 + b"]" * 100_000, None),
+    "top_k-true": (_localize_body(b', "top_k": true'), None),
+    "deadline-true": (_localize_body(b', "deadline_ms": true'), None),
+    "deadline-NaN": (_localize_body(b', "deadline_ms": NaN'), None),
+    "deadline-Infinity": (_localize_body(b', "deadline_ms": Infinity'), None),
+    "deadline-1e309": (_localize_body(b', "deadline_ms": 1e309'), None),
+    "deadline-string-nan": (_localize_body(b', "deadline_ms": "nan"'), None),
+    "deadline-string-inf": (_localize_body(b', "deadline_ms": "inf"'), None),
+    "deadline-past-timeout-max": (_localize_body(b', "deadline_ms": 1e300'), None),
+    "header-nan": (_localize_body(), "nan"),
+    "header-inf": (_localize_body(), "inf"),
+    "header-Infinity": (_localize_body(), "Infinity"),
+    "header-1e309": (_localize_body(), "1e309"),
+}
+
+
+@pytest.fixture(scope="module")
+def roomy_server():
+    """The server with the default body cap, shared by the hostile cases."""
+    service = LocalizationService(
+        model=DelayFaultLocalizer(hidden=8, seed=4), batch_window_s=0.001
+    )
+    server = create_server(service)
+    thread = _serve(server)
+    yield server
+    server.shutdown()
+    server.server_close()
+    service.close()
+    thread.join(timeout=5)
+
+
+def _reject_non_json_constant(token: str):
+    raise AssertionError(f"response body carries the non-JSON token {token}")
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_CASES))
+def test_hostile_localize_payload_gets_a_structured_400(roomy_server, case):
+    body, deadline_header = HOSTILE_CASES[case]
+    extra = "Connection: close\r\n"
+    if deadline_header is not None:
+        extra += f"X-M3D-Deadline-Ms: {deadline_header}\r\n"
+    responses, _ = exchange(roomy_server.port, post("/localize", str(len(body)), body, extra))
+    assert [r[0] for r in responses] == [400], "expected exactly one 400 answer"
+    headers, raw = responses[0][1], responses[0][2]
+    payload = json.loads(raw, parse_constant=_reject_non_json_constant)
+    assert payload["error"] == "bad_request"
+    assert sanitize_trace_id(headers[TRACE_HEADER]) is not None
+    assert payload["trace_id"] == headers[TRACE_HEADER]
