@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
 
     proc = subprocess.Popen(
         [sys.executable, "-m", "m3d_fault_loc.cli.serve", "--model", str(args.model),
-         "--port", "0", "--batch-window-ms", "1"],
+         "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

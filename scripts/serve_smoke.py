@@ -67,10 +67,14 @@ def main(argv: list[str] | None = None) -> int:
     bad_graph = graph.to_json_dict()
     bad_graph["x"]["dtype"] = "float64"  # schema dtype violation -> M3D106
     bad_graph["name"] = "smoke-bad-dtype"
+    short_graph = graph.to_json_dict()  # one edge type too few -> M3D106, not a 500
+    short_graph["edge_type"]["data"].pop()
+    short_graph["edge_type"]["shape"] = [len(short_graph["edge_type"]["data"])]
+    short_graph["name"] = "smoke-short-edge-type"
 
     proc = subprocess.Popen(
         [sys.executable, "-m", "m3d_fault_loc.cli.serve", "--model", str(args.model),
-         "--port", "0", "--batch-window-ms", "1"],
+         "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -117,6 +121,12 @@ def main(argv: list[str] | None = None) -> int:
             "422 error body and header agree on the trace id",
         )
 
+        status, short, _ = _request(port, "POST", "/localize", {"graph": short_graph})
+        _check(
+            status == 422 and short.get("error") == "contract_violation",
+            "graph with a short edge_type rejected with 422, not a 500",
+        )
+
         status, debug, _ = _request(port, "GET", "/debug/traces")
         _check(status == 200, "GET /debug/traces responds")
         _check(len(debug["traces"]) >= 3, "debug ring holds the completed traces")
@@ -138,11 +148,11 @@ def main(argv: list[str] | None = None) -> int:
             all(metrics[h]["count"] >= 1 for h in stage_hists),
             "all four per-stage latency histograms recorded observations",
         )
-        _check(metrics["m3d_requests_total"]["value"] == 3, "request counter advanced to 3")
+        _check(metrics["m3d_requests_total"]["value"] == 4, "request counter advanced to 4")
         _check(metrics["m3d_cache_hits_total"]["value"] == 1, "cache-hit counter advanced")
         _check(metrics["m3d_forward_passes_total"]["value"] == 1, "exactly one forward pass ran")
         _check(
-            metrics["m3d_contract_rejections_total"]["value"] == 1, "rejection counter advanced"
+            metrics["m3d_contract_rejections_total"]["value"] == 2, "rejection counter advanced"
         )
         _check(
             metrics["m3d_request_latency_seconds"]["count"] >= 2
@@ -152,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
 
         status, prom, _ = _request(port, "GET", "/metrics")
         _check(
-            isinstance(prom, str) and "m3d_requests_total 3" in prom,
+            isinstance(prom, str) and "m3d_requests_total 4" in prom,
             "Prometheus text exposition agrees",
         )
         problems = check_exposition(prom)

@@ -22,6 +22,19 @@ from m3d_fault_loc.graph.schema import (
 )
 
 
+def _is_index_array(arr: object, shape: tuple[int, ...] | None = None) -> bool:
+    """True for an ``INDEX_DTYPE`` ndarray (of ``shape``, when given).
+
+    Any other dtype is M3D106's finding; narrow or unsigned integers would
+    also wrap in the tier arithmetic below.
+    """
+    return (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == INDEX_DTYPE
+        and (shape is None or arr.shape == shape)
+    )
+
+
 def _edges_usable(graph: CircuitGraph) -> bool:
     """True when edge_index is well-formed enough for edge rules to run.
 
@@ -29,7 +42,7 @@ def _edges_usable(graph: CircuitGraph) -> bool:
     other rules quietly skip rather than crash or double-report.
     """
     ei = graph.edge_index
-    if not isinstance(ei, np.ndarray) or ei.ndim != 2 or ei.shape[0] != 2:
+    if not _is_index_array(ei) or ei.ndim != 2 or ei.shape[0] != 2:
         return False
     if ei.shape[1] and (ei.min() < 0 or ei.max() >= graph.num_nodes):
         return False
@@ -38,8 +51,17 @@ def _edges_usable(graph: CircuitGraph) -> bool:
 
 def _tiers_usable(graph: CircuitGraph) -> bool:
     """True when the tier array can be indexed per node (else M3D106 reports)."""
-    tier = graph.tier
-    return isinstance(tier, np.ndarray) and tier.shape == (graph.num_nodes,)
+    return _is_index_array(graph.tier, (graph.num_nodes,))
+
+
+def _edge_types_usable(graph: CircuitGraph) -> bool:
+    """True when there is one integer edge type per edge (else M3D106 reports)."""
+    return _is_index_array(graph.edge_type, (graph.num_edges,))
+
+
+def _edge_location(graph: CircuitGraph, e: int) -> str:
+    u, v = int(graph.edge_index[0, e]), int(graph.edge_index[1, e])
+    return f"edge {graph.node_names[u]}->{graph.node_names[v]}"
 
 
 class CyclicTimingGraphRule(GraphRule):
@@ -53,26 +75,31 @@ class CyclicTimingGraphRule(GraphRule):
     def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
         if not _edges_usable(graph):
             return []
+        src, dst = graph.edge_index
+        # Node ids in topological order (every edge runs low -> high, as the
+        # graph builder emits them) prove acyclicity in one vectorized pass.
+        if not (src >= dst).any():
+            return []
+        # Otherwise Kahn's algorithm, O(N + E): what survives is exactly the
+        # set no topological order can reach.
         n = graph.num_nodes
-        indeg = graph.in_degrees().copy()
+        indeg = np.bincount(dst, minlength=n).tolist()
         fanouts: list[list[int]] = [[] for _ in range(n)]
-        for u, v in graph.edge_index.T:
-            fanouts[int(u)].append(int(v))
-        stack = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
+        for u, v in zip(src.tolist(), dst.tolist()):
+            fanouts[u].append(v)
+        stack = [i for i, d in enumerate(indeg) if d == 0]
         while stack:
-            u = stack.pop()
-            seen += 1
-            for v in fanouts[u]:
+            for v in fanouts[stack.pop()]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     stack.append(v)
-        if seen == n:
+        cyclic = [graph.node_names[i] for i, d in enumerate(indeg) if d]
+        if not cyclic:
             return []
-        cyclic = [graph.node_names[i] for i in range(n) if indeg[i] > 0]
         return [
             self.violation(
-                f"combinational cycle through {len(cyclic)} node(s): {', '.join(cyclic[:5])}",
+                f"combinational cycle through {len(cyclic)} node(s): "
+                f"{', '.join(map(str, cyclic[:5]))}",
                 location=f"graph {graph.name}",
                 nodes=cyclic[:16],
             )
@@ -88,19 +115,25 @@ class DanglingNetRule(GraphRule):
     description = "no dangling (undriven) or floating (unobserved) nets"
 
     def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
+        n = graph.num_nodes
+        is_pi, is_po = graph.is_pi, graph.is_po
+        for flags in (is_pi, is_po):
+            if not isinstance(flags, np.ndarray) or flags.dtype != bool or flags.shape != (n,):
+                return []
         if not _edges_usable(graph):
             return []
+        src, dst = graph.edge_index
+        undriven = (np.bincount(dst, minlength=n) == 0) & ~is_pi
+        floating = (np.bincount(src, minlength=n) == 0) & ~is_po
         findings: list[Violation] = []
-        indeg = graph.in_degrees()
-        outdeg = graph.out_degrees()
-        for i in range(graph.num_nodes):
+        for i in np.flatnonzero(undriven | floating).tolist():
             name = graph.node_names[i]
-            if indeg[i] == 0 and not graph.is_pi[i]:
+            if undriven[i]:
                 findings.append(
                     self.violation("undriven net: node has no fanin and is not a primary input",
                                    location=f"node {name}")
                 )
-            if outdeg[i] == 0 and not graph.is_po[i]:
+            if floating[i]:
                 findings.append(
                     self.violation("floating net: node has no fanout and is not a primary output",
                                    location=f"node {name}")
@@ -116,18 +149,26 @@ class TierRangeRule(GraphRule):
     description = "tier IDs must be in [0, num_tiers)"
 
     def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
+        num_tiers = graph.num_tiers
+        if isinstance(num_tiers, bool) or not isinstance(num_tiers, (int, np.integer)):
+            return [
+                self.violation(f"num_tiers must be an integer, got {num_tiers!r}",
+                               location=f"graph {graph.name}")
+            ]
         findings: list[Violation] = []
-        if graph.num_tiers < 1:
+        if num_tiers < 1:
             findings.append(
-                self.violation(f"num_tiers must be >= 1, got {graph.num_tiers}",
+                self.violation(f"num_tiers must be >= 1, got {num_tiers}",
                                location=f"graph {graph.name}")
             )
-        tier = np.asarray(graph.tier).ravel()
-        for i in np.nonzero((tier < 0) | (tier >= max(graph.num_tiers, 1)))[0]:
+        if not _is_index_array(graph.tier):
+            return findings  # M3D106 reports the tier dtype
+        tier = graph.tier.ravel()
+        for i in np.nonzero((tier < 0) | (tier >= max(num_tiers, 1)))[0]:
             name = graph.node_names[int(i)] if int(i) < len(graph.node_names) else str(int(i))
             findings.append(
                 self.violation(
-                    f"tier {int(tier[i])} out of range [0, {graph.num_tiers})",
+                    f"tier {int(tier[i])} out of range [0, {num_tiers})",
                     location=f"node {name}",
                 )
             )
@@ -143,22 +184,25 @@ class MivAdjacencyRule(GraphRule):
     description = "MIV edges must cross exactly one tier boundary"
 
     def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
-        if not _edges_usable(graph) or not _tiers_usable(graph):
+        if not (_edges_usable(graph) and _tiers_usable(graph) and _edge_types_usable(graph)):
             return []
+        tier = graph.tier
+        miv = np.flatnonzero(graph.edge_type == EDGE_MIV)
+        a, b = tier[graph.edge_index[:, miv]]
+        # max - 1 == min is exactly "span 1" without the wrap |a - b| has on
+        # extreme int64 tiers; the span itself is rendered with Python ints.
+        bad = miv[np.maximum(a, b) - 1 != np.minimum(a, b)]
         findings: list[Violation] = []
-        for e in range(graph.num_edges):
-            if int(graph.edge_type[e]) != EDGE_MIV:
-                continue
-            u, v = int(graph.edge_index[0, e]), int(graph.edge_index[1, e])
-            span = abs(int(graph.tier[u]) - int(graph.tier[v]))
-            if span != 1:
-                findings.append(
-                    self.violation(
-                        f"MIV edge spans {span} tier boundaries (must be exactly 1)",
-                        location=f"edge {graph.node_names[u]}->{graph.node_names[v]}",
-                        span=span,
-                    )
+        for e in bad.tolist():
+            u, v = graph.edge_index[:, e].tolist()
+            span = abs(int(tier[u]) - int(tier[v]))
+            findings.append(
+                self.violation(
+                    f"MIV edge spans {span} tier boundaries (must be exactly 1)",
+                    location=_edge_location(graph, e),
+                    span=span,
                 )
+            )
         return findings
 
 
@@ -170,20 +214,22 @@ class EdgeTierConsistencyRule(GraphRule):
     description = "edge type must agree with endpoint tiers"
 
     def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
-        if not _edges_usable(graph) or not _tiers_usable(graph):
+        if not (_edges_usable(graph) and _tiers_usable(graph) and _edge_types_usable(graph)):
             return []
+        et, tier = graph.edge_type, graph.tier
+        src, dst = graph.edge_index
+        unknown = (et != EDGE_NET) & (et != EDGE_MIV)
+        crossing = (et == EDGE_NET) & (tier[src] != tier[dst])
         findings: list[Violation] = []
-        for e in range(graph.num_edges):
-            et = int(graph.edge_type[e]) if e < len(graph.edge_type) else EDGE_NET
-            u, v = int(graph.edge_index[0, e]), int(graph.edge_index[1, e])
-            loc = f"edge {graph.node_names[u]}->{graph.node_names[v]}"
-            if et not in (EDGE_NET, EDGE_MIV):
-                findings.append(self.violation(f"unknown edge type {et}", location=loc))
-            elif et == EDGE_NET and int(graph.tier[u]) != int(graph.tier[v]):
+        for e in np.flatnonzero(unknown | crossing).tolist():
+            loc = _edge_location(graph, e)
+            if unknown[e]:
+                findings.append(self.violation(f"unknown edge type {int(et[e])}", location=loc))
+            else:
+                u, v = int(tier[src[e]]), int(tier[dst[e]])
                 findings.append(
                     self.violation(
-                        "intra-tier edge connects different tiers "
-                        f"({int(graph.tier[u])} -> {int(graph.tier[v])}); "
+                        f"intra-tier edge connects different tiers ({u} -> {v}); "
                         "tier-crossing edges must be typed as MIV",
                         location=loc,
                     )
@@ -230,11 +276,13 @@ class SchemaConformanceRule(GraphRule):
             if ei.dtype != INDEX_DTYPE:
                 bad(f"edge_index must be {INDEX_DTYPE}, got {ei.dtype}")
             e = ei.shape[1]
-            if e and (ei.min() < 0 or ei.max() >= n):
+            if e and _is_index_array(ei) and (ei.min() < 0 or ei.max() >= n):
                 bad(f"edge_index references nodes outside [0, {n})")
             et = graph.edge_type
             if not isinstance(et, np.ndarray) or et.shape != (e,):
                 bad(f"edge_type must have shape ({e},), got {getattr(et, 'shape', None)}")
+            elif et.dtype != INDEX_DTYPE:
+                bad(f"edge_type must be {INDEX_DTYPE}, got {et.dtype}")
             ea = graph.edge_attr
             if (
                 not isinstance(ea, np.ndarray)
@@ -248,8 +296,12 @@ class SchemaConformanceRule(GraphRule):
             elif ea.dtype != NODE_DTYPE:
                 bad(f"edge features must be {NODE_DTYPE}, got {ea.dtype}")
 
-        if graph.fault_index is not None and not (0 <= graph.fault_index < n):
-            bad(f"fault_index {graph.fault_index} out of range [0, {n})")
+        fault = graph.fault_index
+        if fault is not None:
+            if isinstance(fault, bool) or not isinstance(fault, (int, np.integer)):
+                bad(f"fault_index must be an integer, got {fault!r}")
+            elif not (0 <= fault < n):
+                bad(f"fault_index {fault} out of range [0, {n})")
         return findings
 
 

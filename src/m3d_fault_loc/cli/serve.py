@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="TCP port (0 binds an ephemeral port)")
     parser.add_argument("--max-batch", type=int, default=16,
                         help="largest micro-batch per forward pass")
-    parser.add_argument("--batch-window-ms", type=float, default=5.0,
-                        help="how long the worker waits to fill a batch")
     parser.add_argument("--cache-size", type=int, default=1024,
                         help="result-cache capacity (content-hash LRU entries)")
     parser.add_argument("--max-queue", type=int, default=256,
@@ -137,7 +135,6 @@ def main(argv: list[str] | None = None) -> int:
             service = LocalizationService(
                 model=DelayFaultLocalizer.load(args.model),
                 max_batch=args.max_batch,
-                batch_window_s=args.batch_window_ms / 1e3,
                 cache_size=args.cache_size,
                 max_queue=args.max_queue,
                 request_timeout_s=args.request_timeout_s,
@@ -149,7 +146,6 @@ def main(argv: list[str] | None = None) -> int:
             service = LocalizationService(
                 registry=ModelRegistry(args.registry),
                 max_batch=args.max_batch,
-                batch_window_s=args.batch_window_ms / 1e3,
                 cache_size=args.cache_size,
                 max_queue=args.max_queue,
                 request_timeout_s=args.request_timeout_s,

@@ -14,8 +14,9 @@ land on ``/metrics``. An unknown scenario raises
 
 **Worker pool.** ``num_workers`` batch workers (default 1 — the original
 single-worker topology) each own one *shard*: a bounded queue plus a worker
-thread that drains it into micro-batches (up to ``max_batch`` graphs or
-``batch_window_s`` of waiting, whichever first), runs one stacked
+thread that drains it into micro-batches (whatever is already queued when
+the worker goes idle, up to ``max_batch`` graphs — it never waits for a
+partner), runs one stacked
 ``node_scores_batch`` forward pass, and resolves the per-request futures.
 Requests are routed to shards by **hash of content digest**, so a repeat
 payload lands on the same worker. The model, and with it its
@@ -218,7 +219,6 @@ class LocalizationService:
         engine: RuleEngine | None = None,
         cache_size: int = 1024,
         max_batch: int = 16,
-        batch_window_s: float = 0.005,
         request_timeout_s: float | None = 30.0,
         metrics: MetricsRegistry | None = None,
         max_queue: int = 256,
@@ -244,7 +244,6 @@ class LocalizationService:
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.num_workers = num_workers
-        self.batch_window_s = batch_window_s
         self.request_timeout_s = request_timeout_s
         self.shed_retry_after_s = shed_retry_after_s
         self.watchdog_interval_s = watchdog_interval_s
@@ -877,14 +876,16 @@ class LocalizationService:
                 log.exception("worker_iteration_failed", worker=shard.index)
 
     def _collect_batch(self, shard: _WorkerShard, first: _Pending) -> list[_Pending]:
+        """Dispatch on idle: take only what is already queued behind ``first``.
+
+        Never waits for a partner, so a lone miss goes straight to the
+        forward pass; under load, requests that queued while the worker was
+        busy still ride together (up to ``max_batch``).
+        """
         batch = [first]
-        window_ends = time.monotonic() + self.batch_window_s
         while len(batch) < self.max_batch:
-            remaining = window_ends - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                nxt = shard.queue.get(timeout=remaining)
+                nxt = shard.queue.get_nowait()
             except queue.Empty:
                 break
             if nxt is None:

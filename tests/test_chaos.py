@@ -62,7 +62,6 @@ def base_model():
 
 
 def make_service(model, **kwargs):
-    kwargs.setdefault("batch_window_s", 0.001)
     kwargs.setdefault("watchdog_interval_s", 0.03)
     kwargs.setdefault(
         "restart_backoff", ExponentialBackoff(base_s=0.01, factor=2.0, max_s=0.05)
@@ -357,7 +356,7 @@ def test_corrupt_hot_reload_target_keeps_old_model_serving(tmp_path, graphs):
     registry = ModelRegistry(tmp_path / "registry")
     registry.publish(DelayFaultLocalizer(hidden=8, seed=0))
     with LocalizationService(
-        registry=registry, batch_window_s=0.001, watchdog_interval_s=0.03
+        registry=registry, watchdog_interval_s=0.03
     ) as service:
         assert service.localize(graphs[0]).model_version == "v0001"
 
@@ -477,7 +476,7 @@ def test_sigterm_drains_and_exits_zero(tmp_path, graphs):
         [
             sys.executable, "-m", "m3d_fault_loc.cli.serve",
             "--model", str(artifact), "--port", "0",
-            "--batch-window-ms", "1", "--drain-deadline-s", "5",
+            "--drain-deadline-s", "5",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

@@ -54,7 +54,6 @@ def test_localize_reload_restart_storm_is_race_free(tmp_path, graphs, racecheck_
 
     service = LocalizationService(
         registry=registry,
-        batch_window_s=0.001,
         watchdog_interval_s=0.03,
         restart_backoff=ExponentialBackoff(base_s=0.01, factor=2.0, max_s=0.05),
         drain_deadline_s=2.0,

@@ -30,7 +30,6 @@ def base_model():
 
 
 def make_service(model, **kwargs):
-    kwargs.setdefault("batch_window_s", 0.001)
     kwargs.setdefault("watchdog_interval_s", 0.03)
     kwargs.setdefault(
         "restart_backoff", ExponentialBackoff(base_s=0.01, factor=2.0, max_s=0.05)

@@ -58,7 +58,6 @@ def base_model():
 
 def make_pool(model, **kwargs):
     kwargs.setdefault("num_workers", POOL)
-    kwargs.setdefault("batch_window_s", 0.001)
     kwargs.setdefault("watchdog_interval_s", 0.03)
     kwargs.setdefault(
         "restart_backoff", ExponentialBackoff(base_s=0.01, factor=2.0, max_s=0.05)
@@ -323,7 +322,6 @@ def test_drain_during_active_pointer_swap_is_clean(tmp_path, graphs):
 
     service = LocalizationService(
         registry=registry,
-        batch_window_s=0.001,
         watchdog_interval_s=0.03,
         num_workers=2,
         drain_deadline_s=2.0,

@@ -477,7 +477,6 @@ def test_failover_waterfall_stitches_across_processes(tmp_path):
         tracer = Tracer(exporter=JsonlTraceExporter(log))
         service = LocalizationService(
             model=DelayFaultLocalizer(hidden=8, seed=4),
-            batch_window_s=0.001,
             tracer=tracer,
         )
         server = create_server(service, host="127.0.0.1", port=0)

@@ -30,10 +30,8 @@ VOLATILE = {"latency_ms", "trace_id"}
 @pytest.fixture()
 def live_server():
     # Mirror the capture configuration exactly (see "captured_from" in the
-    # golden file): hidden=8, seed=0, 1 ms batch window.
-    service = LocalizationService(
-        model=DelayFaultLocalizer(hidden=8, seed=0), batch_window_s=0.001
-    )
+    # golden file): hidden=8, seed=0.
+    service = LocalizationService(model=DelayFaultLocalizer(hidden=8, seed=0))
     server = create_server(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -21,9 +21,7 @@ SPEC = ScenarioSpec(n_graphs=1, n_gates=12, n_inputs=3, num_tiers=2, seed=31)
 
 @pytest.fixture()
 def live_server():
-    service = LocalizationService(
-        model=DelayFaultLocalizer(hidden=8, seed=4), batch_window_s=0.001
-    )
+    service = LocalizationService(model=DelayFaultLocalizer(hidden=8, seed=4))
     server = create_server(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -115,9 +113,7 @@ def test_non_string_scenario_is_400(live_server):
 
 
 def test_result_cache_is_partitioned_by_scenario():
-    service = LocalizationService(
-        model=DelayFaultLocalizer(hidden=8, seed=4), batch_window_s=0.001
-    )
+    service = LocalizationService(model=DelayFaultLocalizer(hidden=8, seed=4))
     service.start()
     try:
         graph = get_scenario("single_delay").generate(SPEC)[0]  # untagged

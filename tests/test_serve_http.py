@@ -38,9 +38,7 @@ def _serve(server):
 
 @pytest.fixture()
 def live_server():
-    service = LocalizationService(
-        model=DelayFaultLocalizer(hidden=8, seed=4), batch_window_s=0.001
-    )
+    service = LocalizationService(model=DelayFaultLocalizer(hidden=8, seed=4))
     server = create_server(service, max_body_bytes=10)
     thread = _serve(server)
     yield server
@@ -215,9 +213,7 @@ HOSTILE_CASES = {
 @pytest.fixture(scope="module")
 def roomy_server():
     """The server with the default body cap, shared by the hostile cases."""
-    service = LocalizationService(
-        model=DelayFaultLocalizer(hidden=8, seed=4), batch_window_s=0.001
-    )
+    service = LocalizationService(model=DelayFaultLocalizer(hidden=8, seed=4))
     server = create_server(service)
     thread = _serve(server)
     yield server
@@ -242,5 +238,65 @@ def test_hostile_localize_payload_gets_a_structured_400(roomy_server, case):
     headers, raw = responses[0][1], responses[0][2]
     payload = json.loads(raw, parse_constant=_reject_non_json_constant)
     assert payload["error"] == "bad_request"
+    assert sanitize_trace_id(headers[TRACE_HEADER]) is not None
+    assert payload["trace_id"] == headers[TRACE_HEADER]
+
+
+# -- malformed graphs reach the contract gate, never a 500 or a 200 --------
+
+
+def _graph_with(edit) -> dict:
+    graph = make_clean_graph().to_json_dict()
+    edit(graph)
+    return graph
+
+
+def _shorten(field: str):
+    def edit(graph):
+        graph[field]["data"] = graph[field]["data"][:-1]
+        graph[field]["shape"][-1] -= 1
+
+    return edit
+
+
+def _retype(field: str, dtype: str, first=None):
+    def edit(graph):
+        graph[field]["dtype"] = dtype
+        if first is not None:
+            graph[field]["data"][0] = first
+
+    return edit
+
+
+def _set(key: str, value):
+    return lambda graph: graph.__setitem__(key, value)
+
+
+#: case -> edit of the clean fixture graph's JSON. Each edit is well-formed
+#: JSON that the decoder accepts; the contract gate must reject it.
+MALFORMED_GRAPHS = {
+    "edge_type-short": _shorten("edge_type"),
+    "is_po-short": _shorten("is_po"),
+    "tier-float64-nan": _retype("tier", "float64", first="NaN"),
+    "edge_index-float64": _retype("edge_index", "float64"),
+    "edge_type-float64": _retype("edge_type", "float64"),
+    "num_tiers-string": _set("num_tiers", "2"),
+    "num_tiers-float": _set("num_tiers", 2.5),
+    "fault_index-string": _set("fault_index", "3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_gets_a_contract_violation(roomy_server, case):
+    graph = _graph_with(MALFORMED_GRAPHS[case])
+    body = json.dumps({"graph": graph}).replace('"NaN"', "NaN").encode()
+    responses, _ = exchange(
+        roomy_server.port, post("/localize", str(len(body)), body, "Connection: close\r\n")
+    )
+    assert [r[0] for r in responses] == [422], "expected exactly one 422 answer"
+    headers, raw = responses[0][1], responses[0][2]
+    payload = json.loads(raw)
+    assert payload["error"] == "contract_violation"
+    assert payload["violations"]
     assert sanitize_trace_id(headers[TRACE_HEADER]) is not None
     assert payload["trace_id"] == headers[TRACE_HEADER]

@@ -21,9 +21,7 @@ from m3d_fault_loc.serve.service import LocalizationService
 
 @pytest.fixture()
 def live_server():
-    service = LocalizationService(
-        model=DelayFaultLocalizer(hidden=8, seed=4), batch_window_s=0.001
-    )
+    service = LocalizationService(model=DelayFaultLocalizer(hidden=8, seed=4))
     server = create_server(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -1,6 +1,7 @@
 """LocalizationService: gating, micro-batching, caching, hot reload."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from m3d_fault_loc.faults.injector import make_fault_sample
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.serve.registry import ModelRegistry
 from m3d_fault_loc.serve.service import LocalizationService
+from m3d_fault_loc.testing.chaos import ChaosModelWrapper
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +25,6 @@ def graphs():
 
 def make_service(**kwargs):
     kwargs.setdefault("model", DelayFaultLocalizer(hidden=8, seed=2))
-    kwargs.setdefault("batch_window_s", 0.001)
     return LocalizationService(**kwargs)
 
 
@@ -92,23 +93,78 @@ def test_contract_violation_rejected_and_counted(graphs):
         assert service.m_forward_passes.value == 0
 
 
-def test_concurrent_requests_are_micro_batched(graphs):
-    service = make_service(batch_window_s=0.05, max_batch=8)
-    results: dict[int, object] = {}
-    with service:
-        # Hold the worker on a first request so the rest pile into its batch.
-        def call(i: int) -> None:
-            results[i] = service.localize(graphs[i])
+class GatedFirstPassModel(ChaosModelWrapper):
+    """Holds the first forward pass until ``release`` is set; records sizes."""
 
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(6)]
-        for t in threads:
+    def __init__(self, base: DelayFaultLocalizer):
+        super().__init__(base)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.batch_sizes: list[int] = []
+
+    def node_scores_batch(self, graphs):
+        self.batch_sizes.append(len(graphs))
+        if self._next_call() == 1:
+            self.entered.set()
+            assert self.release.wait(30), "test never released the gated forward pass"
+        return self._base.node_scores_batch(graphs)
+
+
+def test_concurrent_requests_are_micro_batched(graphs):
+    base = DelayFaultLocalizer(hidden=8, seed=2)
+    model = GatedFirstPassModel(base)
+    service = make_service(model=model, max_batch=8)
+    results: dict[int, object] = {}
+
+    def call(i: int) -> None:
+        results[i] = service.localize(graphs[i])
+
+    with service:
+        first = threading.Thread(target=call, args=(0,))
+        first.start()
+        assert model.entered.wait(30)
+        # The worker is held inside the first forward pass; the next misses
+        # pile up on its queue and must all ride the following pass.
+        rest = [threading.Thread(target=call, args=(i,)) for i in range(1, 6)]
+        for t in rest:
             t.start()
-        for t in threads:
+        deadline = time.monotonic() + 30
+        while service.queue_depth() < len(rest):
+            assert time.monotonic() < deadline, "misses never queued behind the held pass"
+            time.sleep(0.001)
+        model.release.set()
+        for t in [first, *rest]:
             t.join()
-    assert len(results) == 6
+    assert sorted(results) == list(range(6))
+    assert model.batch_sizes == [1, 5]
+    assert service.m_forward_passes.value == 2
+    assert service.m_batch_size.count == 2
     assert service.m_graphs.value == 6
-    assert service.m_forward_passes.value <= 3  # batched, not one pass per request
-    assert service.m_batch_size.count == service.m_forward_passes.value
+    for i, result in results.items():
+        expected = base.node_scores_batch([graphs[i]])[0]
+        order = np.argsort(expected)[::-1][: len(result.top)]
+        assert [entry["index"] for entry in result.top] == order.tolist()
+        assert [entry["score"] for entry in result.top] == expected[order].tolist()
+
+
+def test_lone_miss_never_blocks_in_collect_batch(monkeypatch):
+    service = make_service(max_batch=4)
+    shard = service._shards[0]
+    real_get = shard.queue.get
+
+    def non_blocking_get(block=True, timeout=None):
+        assert not block, "_collect_batch waited for a partner"
+        return real_get(block, timeout)
+
+    monkeypatch.setattr(shard.queue, "get", non_blocking_get)
+    lone, *queued = (object() for _ in range(6))
+    assert service._collect_batch(shard, lone) == [lone]
+    for item in queued:
+        shard.queue.put(item)
+    # Whatever is already queued rides along, capped at max_batch.
+    assert service._collect_batch(shard, lone) == [lone, *queued[:3]]
+    assert service._collect_batch(shard, lone) == [lone, queued[3], queued[4]]
+    service.close()
 
 
 def test_clean_graph_warnings_surface_in_result():
