@@ -132,8 +132,13 @@ def main(argv: list[str] | None = None) -> int:
             if not args.model.exists():
                 print(f"no such model file: {args.model}", file=sys.stderr)
                 return 2
+            try:
+                model = DelayFaultLocalizer.load(args.model)
+            except ValueError as exc:
+                print(f"model error: {exc}", file=sys.stderr)
+                return 2
             service = LocalizationService(
-                model=DelayFaultLocalizer.load(args.model),
+                model=model,
                 max_batch=args.max_batch,
                 cache_size=args.cache_size,
                 max_queue=args.max_queue,

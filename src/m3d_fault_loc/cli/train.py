@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from m3d_fault_loc.data.dataset import CircuitGraphDataset, GraphContractError
-from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer, TrainingExample
 from m3d_fault_loc.model.optim import (
     Adam,
     NonFiniteLossError,
@@ -85,7 +85,13 @@ def train(
     telemetry rows (data_gen / forward / backward / optimizer_step / eval).
     """
     model = DelayFaultLocalizer(hidden=hidden, seed=seed)
-    optimizer = Adam(model.params, lr=lr)
+    optimizer = Adam(model.flat, lr=lr)
+    # One flat gradient buffer; ``grads`` are its per-parameter views, which
+    # clipping and the telemetry norm read exactly as they read a dict.
+    grad_flat = np.zeros_like(model.flat)
+    grads = model.views(grad_flat)
+    # Built the first time epoch 0 reaches each graph, inside data_gen.
+    examples: list[TrainingExample | None] = [None] * len(dataset)
     with profiler if profiler is not None else nullcontext():
         for epoch in range(epochs):
             epoch_t0 = time.perf_counter()
@@ -94,19 +100,20 @@ def train(
             max_norm = 0.0
             for start in range(0, len(order), batch_size):
                 batch = order[start : start + batch_size]
-                grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-                for i in batch:
+                grad_flat.fill(0.0)
+                for i in batch.tolist():
                     with phase("data_gen"):
-                        graph = dataset[int(i)]
-                    loss, g = model.loss_and_grads(graph)
+                        example = examples[i]
+                        if example is None:
+                            example = examples[i] = model.example(dataset[i])
+                    loss, g = model.loss_and_grads(example)
                     if not np.isfinite(loss):
                         raise NonFiniteLossError(
-                            f"non-finite loss {loss!r} at epoch {epoch}, graph index "
-                            f"{int(i)} ({graph.name}); lower --lr or pass --clip-norm"
+                            f"non-finite loss {loss!r} at epoch {epoch}, graph index {i} "
+                            f"({dataset[i].name}); lower --lr or pass --clip-norm"
                         )
                     total_loss += loss
-                    for k in grads:
-                        grads[k] += g[k] / len(batch)
+                    grad_flat += np.concatenate([g[k].ravel() for k in grads]) / len(batch)
                 with phase("optimizer_step"):
                     if clip_norm is not None:
                         norm = clip_by_global_norm(grads, clip_norm)
@@ -115,7 +122,7 @@ def train(
                     else:
                         norm = 0.0
                     max_norm = max(max_norm, norm)
-                    optimizer.step(grads)
+                    optimizer.step(grad_flat)
             if telemetry is not None:
                 tagged = {} if scenario is None else {"scenario": scenario}
                 telemetry.emit(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +26,27 @@ from m3d_fault_loc.model.aggregate import AggregationOperatorCache
 from m3d_fault_loc.obs.profile import phase
 
 
+class TrainingExample(NamedTuple):
+    """One labelled graph with its topology work done once per training run.
+
+    ``x`` is the graph's own feature array (no float64 copy is held), ``m``
+    the cached aggregation operator and ``mt`` its transpose — a CSC view
+    over ``m``'s arrays, so it costs no array memory.
+    """
+
+    x: np.ndarray
+    m: sp.csr_matrix
+    mt: sp.csc_matrix
+    fault_index: int
+
+
 class DelayFaultLocalizer:
-    """Two-layer mean-aggregator GraphSAGE with a per-graph softmax head."""
+    """Two-layer mean-aggregator GraphSAGE with a per-graph softmax head.
+
+    Every parameter lives in one flat float64 vector, :attr:`flat`;
+    :attr:`params` maps each name to a reshaped view of it, so an in-place
+    update of either is seen by both.
+    """
 
     def __init__(
         self,
@@ -49,21 +68,39 @@ class DelayFaultLocalizer:
         self.artifact_meta: dict[str, Any] = {}
 
         h = hidden
-        self.params: dict[str, np.ndarray] = {
-            "W1s": glorot(self.in_dim, h),
-            "W1n": glorot(self.in_dim, h),
-            "b1": np.zeros(h),
-            "W2s": glorot(h, h),
-            "W2n": glorot(h, h),
-            "b2": np.zeros(h),
-            "w3": glorot(h, 1),
-            "b3": np.zeros(1),
+        #: Parameter name -> shape, in :attr:`flat` order.
+        self.shapes: dict[str, tuple[int, ...]] = {
+            "W1s": (self.in_dim, h),
+            "W1n": (self.in_dim, h),
+            "b1": (h,),
+            "W2s": (h, h),
+            "W2n": (h, h),
+            "b2": (h,),
+            "w3": (h, 1),
+            "b3": (1,),
         }
+        self.flat = np.zeros(sum(int(np.prod(shape)) for shape in self.shapes.values()))
+        self.params: dict[str, np.ndarray] = self.views(self.flat)
+        # Weights are drawn in name order; biases start at zero.
+        for key, shape in self.shapes.items():
+            if len(shape) == 2:
+                self.params[key][...] = glorot(*shape)
 
         #: Per-graph CSR operator cache shared by every forward entry point,
         #: keyed by topology: every observation of a warm netlist skips the
         #: operator rebuild entirely.
         self.agg_cache = agg_cache if agg_cache is not None else AggregationOperatorCache()
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Reshaped views of a vector laid out like :attr:`flat`, keyed like
+        :attr:`params` (used for the flat gradient buffer too)."""
+        out: dict[str, np.ndarray] = {}
+        start = 0
+        for key, shape in self.shapes.items():
+            size = int(np.prod(shape))
+            out[key] = flat[start : start + size].reshape(shape)
+            start += size
+        return out
 
     # -- forward ----------------------------------------------------------
 
@@ -124,27 +161,37 @@ class DelayFaultLocalizer:
 
     # -- training ---------------------------------------------------------
 
-    def loss_and_grads(self, graph: CircuitGraph):
-        """Cross-entropy of the per-graph softmax against the fault label.
-
-        Returns ``(loss, grads)`` with grads keyed like :attr:`params`.
-        """
+    def example(self, graph: CircuitGraph) -> TrainingExample:
+        """The per-graph topology work of :meth:`loss_and_grads`, done once."""
         if graph.fault_index is None:
             raise ValueError(f"graph {graph.name!r} has no fault label")
+        m = self.agg_cache.get_or_build(graph)
+        return TrainingExample(graph.x, m, m.T, graph.fault_index)
+
+    def loss_and_grads(self, graph: CircuitGraph | TrainingExample):
+        """Cross-entropy of the per-graph softmax against the fault label.
+
+        Takes a graph or its prepared :meth:`example` (the training loop
+        builds each example once per run). Returns ``(loss, grads)`` with
+        grads keyed like :attr:`params`.
+        """
+        ex = graph if isinstance(graph, TrainingExample) else self.example(graph)
         p = self.params
         # The phase() brackets are free when no profiler is active (shared
         # null context manager), so they live here unconditionally.
         with phase("forward"):
-            logits, (x, m, mx, a1, h1, mh1, a2, h2) = self._forward(graph)
+            logits, (x, m, mx, a1, h1, mh1, a2, h2) = self._forward_arrays(
+                np.asarray(ex.x, dtype=np.float64), ex.m
+            )
 
         with phase("backward"):
             z = logits - logits.max()
             expz = np.exp(z)
             probs = expz / expz.sum()
-            loss = -float(np.log(max(probs[graph.fault_index], 1e-12)))
+            loss = -float(np.log(max(probs[ex.fault_index], 1e-12)))
 
             dz = probs.copy()
-            dz[graph.fault_index] -= 1.0
+            dz[ex.fault_index] -= 1.0
             dz = dz.reshape(-1, 1)  # (N, 1)
 
             grads: dict[str, np.ndarray] = {}
@@ -155,7 +202,7 @@ class DelayFaultLocalizer:
             grads["W2s"] = h1.T @ da2
             grads["W2n"] = mh1.T @ da2
             grads["b2"] = da2.sum(axis=0)
-            dh1 = da2 @ p["W2s"].T + m.T @ (da2 @ p["W2n"].T)
+            dh1 = da2 @ p["W2s"].T + ex.mt @ (da2 @ p["W2n"].T)
             da1 = dh1 * (a1 > 0)
             grads["W1s"] = x.T @ da1
             grads["W1n"] = mx.T @ da1
@@ -187,10 +234,39 @@ class DelayFaultLocalizer:
 
     @classmethod
     def load(cls, path: str | Path) -> DelayFaultLocalizer:
+        """Read an artifact written by :meth:`save`.
+
+        Every key is checked before it is copied into :attr:`flat`: it must
+        be present, have exactly the shape ``__in_dim``/``__hidden`` imply,
+        and hold finite floating-point values. Any failure raises
+        ``ValueError`` naming the key, so a malformed artifact is refused at
+        load instead of broadcasting into the weights or failing every
+        forward.
+        """
         with np.load(path) as payload:
-            model = cls(in_dim=int(payload["__in_dim"]), hidden=int(payload["__hidden"]))
-            for key in model.params:
-                model.params[key] = payload[key].copy()
+            model = cls(
+                in_dim=_artifact_dim(payload, "__in_dim", path),
+                hidden=_artifact_dim(payload, "__hidden", path),
+            )
+            for key, view in model.params.items():
+                if key not in payload.files:
+                    raise ValueError(f"model artifact {path}: missing parameter {key!r}")
+                arr = payload[key]
+                if arr.shape != view.shape:
+                    raise ValueError(
+                        f"model artifact {path}: parameter {key!r} has shape {arr.shape}, "
+                        f"expected {view.shape}"
+                    )
+                if not np.issubdtype(arr.dtype, np.floating):
+                    raise ValueError(
+                        f"model artifact {path}: parameter {key!r} has dtype {arr.dtype}, "
+                        "expected floating point"
+                    )
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(
+                        f"model artifact {path}: parameter {key!r} has non-finite values"
+                    )
+                view[...] = arr
             if "__meta" in payload.files:
                 model.artifact_meta = json.loads(payload["__meta"].item())
         return model
@@ -204,3 +280,15 @@ class DelayFaultLocalizer:
             digest.update(key.encode())
             digest.update(arr.tobytes())
         return digest.hexdigest()
+
+
+def _artifact_dim(payload: Any, key: str, path: str | Path) -> int:
+    """A positive integer scalar dimension from a loaded artifact."""
+    if key not in payload.files:
+        raise ValueError(f"model artifact {path}: missing {key!r}")
+    arr = payload[key]
+    if arr.shape != () or not np.issubdtype(arr.dtype, np.integer) or int(arr) < 1:
+        raise ValueError(
+            f"model artifact {path}: {key!r} must be a positive integer scalar, got {arr!r}"
+        )
+    return int(arr)

@@ -1,4 +1,4 @@
-"""Minimal numpy Adam optimizer for the localizer's parameter dict,
+"""Minimal numpy Adam optimizer over the localizer's flat parameter vector,
 plus training-stability helpers (global-norm gradient clipping and the
 non-finite-loss guard exception)."""
 
@@ -34,11 +34,11 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam over a ``dict[str, np.ndarray]`` parameter set."""
+    """Adam over one flat parameter vector, updated in place."""
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
+        params: np.ndarray,
         lr: float = 1e-2,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
@@ -48,19 +48,16 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = {k: np.zeros_like(v) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._m = np.zeros_like(params)
+        self._v = np.zeros_like(params)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: np.ndarray) -> None:
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for key, param in self.params.items():
-            g = grads[key]
-            m = self._m[key]
-            v = self._v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * np.square(grads)
+        self.params -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

@@ -11,6 +11,9 @@ number of times — chaos tests must be reproducible, never probabilistic:
   deadlines, queue back-pressure, and stall detection.
 - :func:`corrupt_artifact` — tampers with a published registry artifact on
   disk so checksum verification (and quarantine) can be exercised.
+- :func:`malformed_model` — a model whose saved artifact has an intact
+  checksum but one broken parameter, so load-time validation (and a
+  refused hot reload) can be exercised.
 - :class:`FlakyIO` — a callable for ``ModelRegistry.io_fault_hook`` that
   raises for the first N I/O attempts, exercising retry-with-backoff.
 
@@ -190,6 +193,42 @@ def corrupt_artifact(
     else:
         raise ValueError(f"unknown corruption mode: {mode!r}")
     return artifact
+
+
+#: :func:`malformed_model` kinds -> the parameter key each one breaks.
+MALFORMED_PARAM_KEYS = {
+    "short_b1": "b1",
+    "int_W1s": "W1s",
+    "flat_w3": "w3",
+    "missing_b3": "b3",
+    "nan_b2": "b2",
+}
+
+
+def malformed_model(kind: str, hidden: int = 8, seed: int = 0) -> DelayFaultLocalizer:
+    """A model whose :meth:`~DelayFaultLocalizer.save` writes one broken
+    parameter: a (1,) bias, an int64 weight, a flattened head, a missing
+    bias, or a NaN bias (see :data:`MALFORMED_PARAM_KEYS`).
+
+    Only ``save`` should be called on it: its ``params`` dict is detached
+    from its flat vector.
+    """
+    model = DelayFaultLocalizer(hidden=hidden, seed=seed)
+    params = dict(model.params)
+    if kind == "short_b1":
+        params["b1"] = np.zeros(1)
+    elif kind == "int_W1s":
+        params["W1s"] = params["W1s"].astype(np.int64)
+    elif kind == "flat_w3":
+        params["w3"] = params["w3"].ravel()
+    elif kind == "missing_b3":
+        del params["b3"]
+    elif kind == "nan_b2":
+        params["b2"] = np.full_like(params["b2"], np.nan)
+    else:
+        raise ValueError(f"unknown malformation: {kind!r}")
+    model.params = params
+    return model
 
 
 class FlakyIO:

@@ -44,10 +44,12 @@ from m3d_fault_loc.serve.resilience import (
 from m3d_fault_loc.serve.server import create_server
 from m3d_fault_loc.serve.service import LocalizationService
 from m3d_fault_loc.testing.chaos import (
+    MALFORMED_PARAM_KEYS,
     CrashOnNthBatchModel,
     FlakyIO,
     SlowBatchModel,
     corrupt_artifact,
+    malformed_model,
 )
 
 
@@ -377,6 +379,44 @@ def test_corrupt_hot_reload_target_keeps_old_model_serving(tmp_path, graphs):
         # numbering would reuse its name — which the failed-ref memo ignores.
         registry.publish(DelayFaultLocalizer(hidden=8, seed=42), version="v0003")
         assert service.localize(graphs[3]).model_version == "v0003"
+
+
+@pytest.mark.parametrize("kind", MALFORMED_PARAM_KEYS)
+def test_malformed_hot_reload_target_keeps_old_model_serving(tmp_path, graphs, kind):
+    """The artifact's checksum is intact; load-time validation refuses it."""
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(DelayFaultLocalizer(hidden=8, seed=0))
+    with LocalizationService(registry=registry) as service:
+        assert service.localize(graphs[0]).model_version == "v0001"
+        failures = service.m_reload_failures.value
+
+        registry.publish(malformed_model(kind, hidden=8, seed=9))  # activates v0002
+        result = service.localize(graphs[1])
+        assert result.model_version == "v0001", "a malformed reload target must be refused"
+        assert service.m_reload_failures.value == failures + 1
+
+
+def _serve_cli_env():
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src_dir}{os.pathsep}{env.get('PYTHONPATH', '')}"
+    return env
+
+
+@pytest.mark.parametrize("kind", ["short_b1", "missing_b3"])
+def test_serve_cli_refuses_malformed_model(tmp_path, kind):
+    artifact = malformed_model(kind).save(tmp_path / "bad.npz")
+    proc = subprocess.run(
+        [sys.executable, "-m", "m3d_fault_loc.cli.serve", "--model", str(artifact), "--port", "0"],
+        capture_output=True,
+        text=True,
+        env=_serve_cli_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "model error: " in proc.stderr
+    assert f"'{MALFORMED_PARAM_KEYS[kind]}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_registry_retries_transient_io(tmp_path):

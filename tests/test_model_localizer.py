@@ -8,6 +8,7 @@ from m3d_fault_loc.data.dataset import CircuitGraphDataset
 from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.aggregate import build_in_neighbor_mean
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.testing.chaos import MALFORMED_PARAM_KEYS, malformed_model
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,8 @@ def test_unlabeled_graph_rejected_for_training(dataset):
     stripped = type(graph)(**{**graph.__dict__, "fault_index": None})
     with pytest.raises(ValueError, match="no fault label"):
         DelayFaultLocalizer(hidden=8).loss_and_grads(stripped)
+    with pytest.raises(ValueError, match="no fault label"):
+        DelayFaultLocalizer(hidden=8).example(stripped)
 
 
 @pytest.mark.parametrize(
@@ -149,3 +152,81 @@ def test_forward_sees_in_place_param_updates(dataset):
     before = model.node_scores(graph)
     model.params["b3"] += 1.0
     assert np.allclose(model.node_scores(graph), before + 1.0)
+
+
+# -- prepared training examples and the flat parameter vector ----------------
+
+
+def _fixture_graphs():
+    import fixture_graphs as fx
+
+    graphs = [fx.make_clean_graph(), fx.make_clean_graph(3), fx.make_high_fanout_graph(5)]
+    graphs += [factory() for factory in fx.VIOLATION_FIXTURES]
+    # The high-fanout fixture carries no fault label; give it one.
+    return [
+        g if g.fault_index is not None else type(g)(**{**g.__dict__, "fault_index": 1})
+        for g in graphs
+    ]
+
+
+@pytest.mark.parametrize("graph", _fixture_graphs(), ids=lambda g: g.name)
+def test_example_gives_the_same_loss_and_grads_as_the_graph(graph):
+    model = DelayFaultLocalizer(hidden=8, seed=2)
+    loss, grads = model.loss_and_grads(graph)
+    ex_loss, ex_grads = model.loss_and_grads(model.example(graph))
+    assert np.array_equal(loss, ex_loss, equal_nan=True)
+    assert grads.keys() == ex_grads.keys() == model.params.keys()
+    for key in grads:
+        assert np.array_equal(grads[key], ex_grads[key], equal_nan=True), key
+
+
+def test_example_holds_the_graph_features_and_a_transpose_view(dataset):
+    model = DelayFaultLocalizer(hidden=8, seed=2)
+    graph = dataset[0]
+    ex = model.example(graph)
+    assert ex.x is graph.x, "no float64 copy of the features is held"
+    assert ex.m is model.agg_cache.get_or_build(graph)
+    assert ex.fault_index == graph.fault_index
+    assert np.array_equal(ex.mt.toarray(), ex.m.toarray().T)
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(ex.mt, name), getattr(ex.m, name)), name
+
+
+def _assert_params_view_flat(model):
+    assert model.flat.ndim == 1
+    assert model.flat.size == sum(p.size for p in model.params.values())
+    for key, param in model.params.items():
+        assert np.shares_memory(param, model.flat), key
+
+
+def test_params_are_views_of_the_flat_vector(tmp_path):
+    model = DelayFaultLocalizer(hidden=8, seed=3)
+    _assert_params_view_flat(model)
+    model.flat += 1.0
+    assert np.all(model.params["b1"] == 1.0)
+    reloaded = DelayFaultLocalizer.load(model.save(tmp_path / "m.npz"))
+    _assert_params_view_flat(reloaded)
+    assert np.array_equal(reloaded.flat, model.flat)
+    assert reloaded.fingerprint() == model.fingerprint()
+
+
+# -- load() refuses malformed artifacts --------------------------------------
+
+
+@pytest.mark.parametrize("kind", MALFORMED_PARAM_KEYS)
+def test_load_rejects_malformed_artifact_naming_the_key(tmp_path, kind):
+    path = malformed_model(kind).save(tmp_path / "bad.npz")
+    with pytest.raises(ValueError, match=f"'{MALFORMED_PARAM_KEYS[kind]}'"):
+        DelayFaultLocalizer.load(path)
+
+
+@pytest.mark.parametrize("dims", [{"__in_dim": np.asarray(2.5)}, {"__hidden": np.asarray(0)}])
+def test_load_rejects_bad_dimensions(tmp_path, dims):
+    model = DelayFaultLocalizer(hidden=8, seed=0)
+    payload = {"__in_dim": np.asarray(model.in_dim), "__hidden": np.asarray(8), **model.params}
+    payload.update(dims)
+    path = tmp_path / "bad.npz"
+    np.savez(path, **payload)
+    (key,) = dims
+    with pytest.raises(ValueError, match=key):
+        DelayFaultLocalizer.load(path)
