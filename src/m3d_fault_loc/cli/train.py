@@ -12,9 +12,10 @@ workload). Every graph — synthetic or loaded — passes through the
 with the scenario's M3D11x payload rules; a contract violation aborts the
 run before the first epoch rather than after it.
 
-``--metrics-log runs/train.jsonl`` appends one JSONL record per epoch
-(loss, pre-clip gradient norm, learning rate, wall time) plus a final record
-with the held-out accuracy — the stream ``m3d-obs train`` summarizes.
+``--metrics-log runs/train.jsonl`` appends a ``setup`` record (seconds spent
+synthesizing or reading the graphs and gating them), one JSONL record per
+epoch (loss, pre-clip gradient norm, learning rate, wall time) plus a final
+record with the held-out accuracy — the stream ``m3d-obs train`` summarizes.
 ``--profile`` adds per-epoch per-phase ``profile`` rows (data_gen / forward /
 backward / optimizer_step / eval wall time; ``--profile-memory`` adds
 tracemalloc allocation peaks) to the same stream.
@@ -30,7 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from m3d_fault_loc.data.dataset import CircuitGraphDataset, GraphContractError
+from m3d_fault_loc.data.dataset import (
+    CircuitGraphDataset,
+    GraphContractError,
+    read_graph_dir,
+)
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer, TrainingExample
 from m3d_fault_loc.model.optim import (
     Adam,
@@ -192,8 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     scenario = get_scenario(args.scenario)
     engine = build_scenario_engine(scenario.name)
     try:
+        setup_t0 = time.perf_counter()
         if args.data_dir is not None:
-            dataset = CircuitGraphDataset.load_dir(args.data_dir, engine=engine)
+            graphs = read_graph_dir(args.data_dir)
         else:
             graphs = scenario.generate(
                 ScenarioSpec(
@@ -204,7 +210,9 @@ def main(argv: list[str] | None = None) -> int:
                     seed=args.seed,
                 )
             )
-            dataset = CircuitGraphDataset.from_graphs(graphs, engine=engine)
+        setup_t1 = time.perf_counter()
+        dataset = CircuitGraphDataset.from_graphs(graphs, engine=engine)
+        setup_t2 = time.perf_counter()
     except GraphContractError as exc:
         print(f"contract gate rejected the dataset: {exc}", file=sys.stderr)
         return 1
@@ -216,6 +224,15 @@ def main(argv: list[str] | None = None) -> int:
     train_set, test_set = dataset.split(rng, test_fraction=args.test_fraction)
     print(f"training on {len(train_set)} graphs, holding out {len(test_set)}")
     telemetry = None if args.metrics_log is None else TelemetryWriter(args.metrics_log)
+    if telemetry is not None:
+        telemetry.emit(
+            "setup",
+            source="data_dir" if args.data_dir is not None else "synthesized",
+            generate_s=round(setup_t1 - setup_t0, 6),
+            gate_s=round(setup_t2 - setup_t1, 6),
+            n_graphs=len(dataset),
+            scenario=scenario.name,
+        )
     profiler = (
         PhaseProfiler(memory=args.profile_memory)
         if (args.profile or args.profile_memory)

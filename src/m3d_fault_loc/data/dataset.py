@@ -45,6 +45,15 @@ def gate_graph(graph: CircuitGraph, engine: RuleEngine | None = None) -> list[Vi
     return findings
 
 
+def read_graph_dir(path: str | Path) -> list[CircuitGraph]:
+    """Every ``*.json`` graph under ``path``, in sorted path order, ungated."""
+    path = Path(path)
+    files = sorted(path.rglob("*.json"))
+    if not files:
+        raise FileNotFoundError(f"no graph files under {path}")
+    return [CircuitGraph.load(f) for f in files]
+
+
 class CircuitGraphDataset:
     """An in-memory set of contract-checked, labeled circuit graphs."""
 
@@ -70,11 +79,7 @@ class CircuitGraphDataset:
     @classmethod
     def load_dir(cls, path: str | Path, engine: RuleEngine | None = None) -> CircuitGraphDataset:
         """Load every ``*.json`` graph under ``path`` through the gate."""
-        path = Path(path)
-        files = sorted(path.rglob("*.json"))
-        if not files:
-            raise FileNotFoundError(f"no graph files under {path}")
-        return cls.from_graphs([CircuitGraph.load(f) for f in files], engine=engine)
+        return cls.from_graphs(read_graph_dir(path), engine=engine)
 
     def save_dir(self, path: str | Path) -> Path:
         path = Path(path)

@@ -13,7 +13,7 @@ import numpy as np
 from m3d_fault_loc.faults.injector import make_fault_sample
 from m3d_fault_loc.graph.netlist import COMB_CELLS, PI_CELL, Gate, Netlist
 from m3d_fault_loc.graph.schema import CircuitGraph
-from m3d_fault_loc.graph.timing import compute_timing
+from m3d_fault_loc.graph.timing import insertion_order_critical_path
 
 _CELL_FANIN = {"INV": 1, "BUF": 1, "AND2": 2, "OR2": 2, "NAND2": 2, "NOR2": 2, "XOR2": 2}
 
@@ -31,13 +31,25 @@ def random_netlist(
     Gates are created in topological order; each gate draws fanins from
     earlier gates whose tier is within one of its own, guaranteeing MIV
     adjacency by construction. The clock period is set to ``slack_margin``
-    times the critical-path delay so nominal slacks are positive.
+    times the critical-path delay so nominal slacks are positive; because
+    creation order is topological, one arrival pass in that order finds it.
     """
     if n_gates < 1 or n_inputs < 1:
         raise ValueError("need at least one gate and one input")
     netlist = Netlist(name=name, num_tiers=num_tiers)
+    # reach[t]: the gates a new gate on tier t may read, in creation order.
+    # Each gate joins the lists of its own and both adjacent tiers once
+    # (joins[tier]), instead of every new gate rescanning all earlier ones.
+    reach: list[list[Gate]] = [[] for _ in range(num_tiers)]
+    joins = [reach[max(t - 1, 0) : t + 2] for t in range(num_tiers)]
+
+    def place(gate: Gate) -> None:
+        netlist.add_gate(gate)
+        for candidates in joins[gate.tier]:
+            candidates.append(gate)
+
     for i in range(n_inputs):
-        netlist.add_gate(
+        place(
             Gate(
                 name=f"pi{i}",
                 cell=PI_CELL,
@@ -46,31 +58,32 @@ def random_netlist(
                 delay=0.0,
             )
         )
-    existing = list(netlist.gates.values())
     for i in range(n_gates):
         tier = int(rng.integers(num_tiers))
-        candidates = [g for g in existing if abs(g.tier - tier) <= 1]
+        candidates = reach[tier]
         if not candidates:
             # Reachable only for num_tiers >= 3: re-anchor the gate onto the
             # tier of a random existing driver so adjacency always holds.
+            existing = list(netlist.gates.values())
             anchor = existing[int(rng.integers(len(existing)))]
             tier = anchor.tier
-            candidates = [g for g in existing if abs(g.tier - tier) <= 1]
-        cell = str(rng.choice(COMB_CELLS))
+            candidates = reach[tier]
+        cell = COMB_CELLS[int(rng.integers(len(COMB_CELLS)))]
         k = min(_CELL_FANIN[cell], len(candidates))
         picks = rng.choice(len(candidates), size=k, replace=False)
-        gate = Gate(
-            name=f"g{i}",
-            cell=cell,
-            fanins=tuple(candidates[int(p)].name for p in picks),
-            tier=tier,
-            delay=float(rng.uniform(0.5, 1.5)),
+        place(
+            Gate(
+                name=f"g{i}",
+                cell=cell,
+                fanins=tuple(candidates[p].name for p in picks.tolist()),
+                tier=tier,
+                delay=float(rng.uniform(0.5, 1.5)),
+            )
         )
-        netlist.add_gate(gate)
-        existing.append(gate)
 
     # A PI nothing reads would be a floating net (contract rule M3D102):
-    # hang a buffer off each unused input so every net is observable.
+    # hang a buffer off each unused input so every net is observable. The
+    # buffers read only PIs, so they never change which gates are read.
     used = {fi for g in netlist.gates.values() for fi in g.fanins}
     for idx, pi in enumerate(sorted(netlist.primary_inputs)):
         if pi not in used:
@@ -84,11 +97,10 @@ def random_netlist(
                 )
             )
 
-    driven = {fi for g in netlist.gates.values() for fi in g.fanins}
     netlist.primary_outputs = tuple(
-        sorted(n for n, g in netlist.gates.items() if n not in driven and not g.is_primary_input)
+        sorted(n for n, g in netlist.gates.items() if n not in used and not g.is_primary_input)
     )
-    netlist.clock_period = compute_timing(netlist).critical_path_delay * slack_margin
+    netlist.clock_period = insertion_order_critical_path(netlist) * slack_margin
     return netlist
 
 

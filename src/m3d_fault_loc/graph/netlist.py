@@ -55,41 +55,11 @@ class Netlist:
     def primary_inputs(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.gates.values() if g.is_primary_input)
 
-    def edge_delay(self, driver: str, sink: str) -> float:
-        """Wire delay of the ``driver -> sink`` connection (MIV-aware)."""
-        du, dv = self.gates[driver], self.gates[sink]
-        if du.tier != dv.tier:
-            return self.wire_delay + self.miv_delay * abs(du.tier - dv.tier)
+    def tier_delay(self, driver_tier: int, sink_tier: int) -> float:
+        """Wire delay of a connection between gates on these tiers (MIV-aware)."""
+        if driver_tier != sink_tier:
+            return self.wire_delay + self.miv_delay * abs(driver_tier - sink_tier)
         return self.wire_delay
-
-    def topological_order(self) -> list[str]:
-        """Kahn topological order of gate names.
-
-        Raises ``ValueError`` if the netlist contains a combinational cycle —
-        timing analysis is undefined on cyclic graphs, which is exactly the
-        condition the ``m3dlint`` contract checker guards against upstream.
-        """
-        indeg = {name: 0 for name in self.gates}
-        fanouts: dict[str, list[str]] = {name: [] for name in self.gates}
-        for gate in self.gates.values():
-            for fi in gate.fanins:
-                if fi not in self.gates:
-                    raise KeyError(f"gate {gate.name} references unknown fanin {fi}")
-                indeg[gate.name] += 1
-                fanouts[fi].append(gate.name)
-        ready = sorted(name for name, d in indeg.items() if d == 0)
-        order: list[str] = []
-        while ready:
-            name = ready.pop()
-            order.append(name)
-            for fo in fanouts[name]:
-                indeg[fo] -= 1
-                if indeg[fo] == 0:
-                    ready.append(fo)
-        if len(order) != len(self.gates):
-            cyclic = sorted(name for name, d in indeg.items() if d > 0)
-            raise ValueError(f"netlist has a combinational cycle through: {cyclic[:8]}")
-        return order
 
     def with_extra_delay(self, gate_name: str, extra: float) -> Netlist:
         """Return a copy of this netlist with ``extra`` delay added to one gate."""

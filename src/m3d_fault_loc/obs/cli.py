@@ -6,7 +6,8 @@ Subcommands:
   latency percentiles (p50/p95/p99/max), status counts, and the slowest
   requests from a ``--trace-log`` file written by the serving tracer.
 - ``m3d-obs train METRICS.jsonl [--format json]`` (alias: ``summarize``) —
-  loss / grad-norm / epoch-wall-time trajectory, final held-out accuracy,
+  setup time (dataset synthesis and gating), loss / grad-norm /
+  epoch-wall-time trajectory, final held-out accuracy,
   and the per-phase profiler table (``m3d-train --profile``) from a
   ``--metrics-log`` file.
 - ``m3d-obs stitch ROUTER.jsonl REPLICA.jsonl ... [--slow-ms N]
@@ -98,6 +99,16 @@ def _print_profile_table(profile: dict[str, dict[str, Any]]) -> None:
         print(line)
 
 
+def _setup_line(setup: dict[str, Any]) -> str:
+    """One line for the ``setup`` record: where the time before epoch 0 went."""
+    verb = "read" if setup.get("source") == "data_dir" else "generated"
+    return (
+        f"setup: {setup.get('n_graphs')} graphs ({setup.get('scenario')}) "
+        f"{verb} in {float(setup.get('generate_s', 0.0)):.3f} s, "
+        f"gated in {float(setup.get('gate_s', 0.0)):.3f} s"
+    )
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     records = _load(args.path)
     if records is None:
@@ -106,6 +117,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(summary, indent=2))
         return 0
+    if "setup" in summary:
+        print(_setup_line(summary["setup"]))
     print(
         f"{summary['epochs']} epochs  "
         f"loss {summary['first_loss']} -> {summary['last_loss']} "

@@ -1,11 +1,12 @@
 """Run telemetry: JSONL event streams from training/eval, plus summarizers.
 
-``m3d-train --metrics-log runs/train.jsonl`` appends one record per epoch
-(loss, gradient norm, learning rate, wall time) and a final record with the
-held-out accuracy; ``m3d-evaluate --metrics-log`` appends its hit@k
-numbers. The same file format is what ``m3d-obs`` summarizes, and the
-summarizers double as the analysis layer for serving trace logs
-(``--trace-log`` JSONL from :class:`~m3d_fault_loc.obs.trace.Tracer`).
+``m3d-train --metrics-log runs/train.jsonl`` appends a setup record (dataset
+synthesis and gating time), one record per epoch (loss, gradient norm,
+learning rate, wall time) and a final record with the held-out accuracy;
+``m3d-evaluate --metrics-log`` appends its hit@k numbers. The same file
+format is what ``m3d-obs`` summarizes, and the summarizers double as the
+analysis layer for serving trace logs (``--trace-log`` JSONL from
+:class:`~m3d_fault_loc.obs.trace.Tracer`).
 
 Everything is line-oriented JSON on purpose: appends are atomic enough for
 crash-resumed runs, and ``grep``/``jq`` keep working when ``m3d-obs`` is
@@ -144,8 +145,9 @@ def summarize_traces(traces: Iterable[dict[str, Any]], top: int = 5) -> dict[str
 
 
 def summarize_training(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    """Loss/grad-norm/wall-time trajectory over a ``--metrics-log`` stream."""
+    """Setup time and loss/grad-norm/wall-time trajectory of a ``--metrics-log`` run."""
     epochs: list[dict[str, Any]] = []
+    setup: dict[str, Any] | None = None
     final: dict[str, Any] | None = None
     evals: list[dict[str, Any]] = []
     profiles: list[dict[str, Any]] = []
@@ -153,6 +155,8 @@ def summarize_training(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
         event = record.get("event")
         if event == "epoch":
             epochs.append(record)
+        elif event == "setup":
+            setup = record
         elif event == "final":
             final = record
         elif event == "eval":
@@ -170,6 +174,8 @@ def summarize_training(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
         "mean_epoch_wall_s": round(sum(walls) / len(walls), 4) if walls else None,
         "max_grad_norm": round(max(norms), 4) if norms else None,
     }
+    if setup is not None:
+        summary["setup"] = {k: v for k, v in setup.items() if k not in ("ts", "event")}
     if final is not None:
         summary["final"] = {
             k: v for k, v in final.items() if k not in ("ts", "event")

@@ -15,7 +15,7 @@ from m3d_fault_loc.graph.netlist import Gate, Netlist
 from m3d_fault_loc.graph.schema import EDGE_NET, INDEX_DTYPE, NODE_DTYPE, CircuitGraph
 
 
-def make_clean_graph(num_tiers: int = 2) -> CircuitGraph:
+def clean_netlist(num_tiers: int = 2) -> Netlist:
     """Small handcrafted 2-tier netlist: 2 PIs, AND, INV chain, 1 PO."""
     netlist = Netlist(name="clean", num_tiers=num_tiers)
     netlist.add_gate(Gate(name="pi0", cell="PI", fanins=(), tier=0, delay=0.0))
@@ -24,7 +24,12 @@ def make_clean_graph(num_tiers: int = 2) -> CircuitGraph:
     netlist.add_gate(Gate(name="g1", cell="INV", fanins=("g0",), tier=1, delay=0.8))
     netlist.primary_outputs = ("g1",)
     netlist.clock_period = 5.0
-    return build_circuit_graph(netlist, fault_gate="g0")
+    return netlist
+
+
+def make_clean_graph(num_tiers: int = 2) -> CircuitGraph:
+    """The clean netlist as a graph, labeled with a fault at g0."""
+    return build_circuit_graph(clean_netlist(num_tiers), fault_gate="g0")
 
 
 def _node_index(graph: CircuitGraph, name: str) -> int:
@@ -77,15 +82,20 @@ def make_tier_out_of_range_graph() -> CircuitGraph:
     return graph
 
 
-def make_nonadjacent_miv_graph() -> CircuitGraph:
-    """A 3-tier stack where an MIV edge spans tiers 0 -> 2 (M3D104)."""
+def three_tier_chain_netlist() -> Netlist:
+    """pi0 -> g0 -> g1 climbing one tier per edge on a 3-tier stack."""
     netlist = Netlist(name="nonadjacent-miv", num_tiers=3)
     netlist.add_gate(Gate(name="pi0", cell="PI", fanins=(), tier=0, delay=0.0))
     netlist.add_gate(Gate(name="g0", cell="BUF", fanins=("pi0",), tier=1, delay=1.0))
     netlist.add_gate(Gate(name="g1", cell="INV", fanins=("g0",), tier=2, delay=0.9))
     netlist.primary_outputs = ("g1",)
     netlist.clock_period = 5.0
-    graph = build_circuit_graph(netlist)
+    return netlist
+
+
+def make_nonadjacent_miv_graph() -> CircuitGraph:
+    """A 3-tier stack where an MIV edge spans tiers 0 -> 2 (M3D104)."""
+    graph = build_circuit_graph(three_tier_chain_netlist())
     # Corrupt placement: hoist g0 to tier 0 so the g0->g1 MIV now spans 2 tiers.
     # The pi0->g0 edge collapses to intra-tier but keeps its MIV type, which is
     # fine for this fixture's target rule (span 0 is also not 1).
@@ -124,15 +134,24 @@ def make_nonfinite_graph() -> CircuitGraph:
     return graph
 
 
-def make_high_fanout_graph(n_sinks: int = 4) -> CircuitGraph:
-    """One driver fanning out to ``n_sinks`` loads (M3D108 with a low bound)."""
+def high_fanout_netlist(n_sinks: int = 4) -> Netlist:
+    """One driver fanning out to ``n_sinks`` loads."""
     netlist = Netlist(name="high-fanout", num_tiers=2)
     netlist.add_gate(Gate(name="pi0", cell="PI", fanins=(), tier=0, delay=0.0))
     for i in range(n_sinks):
         netlist.add_gate(Gate(name=f"g{i}", cell="BUF", fanins=("pi0",), tier=0, delay=1.0))
     netlist.primary_outputs = tuple(f"g{i}" for i in range(n_sinks))
     netlist.clock_period = 5.0
-    return build_circuit_graph(netlist)
+    return netlist
+
+
+def make_high_fanout_graph(n_sinks: int = 4) -> CircuitGraph:
+    """One driver fanning out to ``n_sinks`` loads (M3D108 with a low bound)."""
+    return build_circuit_graph(high_fanout_netlist(n_sinks))
+
+
+#: The handcrafted netlists the fixture graphs are built from.
+FIXTURE_NETLISTS = (clean_netlist, three_tier_chain_netlist, high_fanout_netlist)
 
 
 #: fixture factory -> the single rule id it must trip.

@@ -1,9 +1,11 @@
 """Netlist → graph construction and schema conformance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fixture_graphs import make_clean_graph
+from fixture_graphs import clean_netlist, make_clean_graph
 from m3d_fault_loc.data.synthetic import random_netlist
 from m3d_fault_loc.graph.builder import build_circuit_graph
 from m3d_fault_loc.graph.netlist import Gate, Netlist
@@ -90,3 +92,54 @@ def test_random_netlist_is_contract_clean_across_tier_counts():
         netlist = random_netlist(rng, n_gates=25, n_inputs=4, num_tiers=num_tiers)
         graph = build_circuit_graph(netlist)
         assert engine.run(graph) == [], f"num_tiers={num_tiers}"
+
+
+def _observed_with(netlist: Netlist, name: str, **changes) -> Netlist:
+    gates = dict(netlist.gates)
+    gates[name] = replace(gates[name], **changes)
+    return replace(netlist, gates=gates)
+
+
+def test_observed_with_rewired_fanin_is_rejected():
+    netlist = clean_netlist()
+    observed = _observed_with(netlist.with_extra_delay("g0", 1.0), "g1", fanins=("pi1",))
+    with pytest.raises(ValueError, match="observed gate 'g1' has fanins"):
+        build_circuit_graph(netlist, observed=observed, fault_gate="g0")
+
+
+def test_observed_with_gate_on_another_tier_is_rejected():
+    netlist = clean_netlist()
+    observed = _observed_with(netlist.with_extra_delay("g0", 1.0), "g0", tier=1)
+    with pytest.raises(ValueError, match="observed gate 'g0' is on tier 1"):
+        build_circuit_graph(netlist, observed=observed, fault_gate="g0")
+
+
+def test_observed_missing_a_gate_is_rejected():
+    netlist = clean_netlist()
+    faulty = netlist.with_extra_delay("g0", 1.0)
+    gates = {name: gate for name, gate in faulty.gates.items() if name != "g1"}
+    with pytest.raises(ValueError, match="missing gate 'g1'"):
+        build_circuit_graph(netlist, observed=replace(faulty, gates=gates), fault_gate="g0")
+
+
+def test_observed_with_an_extra_gate_is_rejected():
+    netlist = clean_netlist()
+    observed = netlist.with_extra_delay("g0", 1.0)
+    observed.add_gate(Gate(name="spare", cell="BUF", fanins=("g1",), tier=1, delay=1.0))
+    with pytest.raises(ValueError, match="observed gate 'spare' is not in the nominal"):
+        build_circuit_graph(netlist, observed=observed, fault_gate="g0")
+
+
+def test_observed_with_other_outputs_or_wire_delays_is_rejected():
+    netlist = clean_netlist()
+    faulty = netlist.with_extra_delay("g0", 1.0)
+    with pytest.raises(ValueError, match="primary outputs differ"):
+        build_circuit_graph(netlist, observed=replace(faulty, primary_outputs=("g0", "g1")))
+    with pytest.raises(ValueError, match="wire/MIV delays differ"):
+        build_circuit_graph(netlist, observed=replace(faulty, miv_delay=0.3))
+
+
+def test_observed_differing_in_delays_only_builds():
+    netlist = clean_netlist()
+    graph = build_circuit_graph(netlist, observed=netlist.with_extra_delay("g0", 1.0))
+    assert graph.feature("slack_delta").max() > 0.0

@@ -66,6 +66,8 @@ def test_summarize_traces_per_stage_and_slowest():
 
 def test_summarize_training_trajectory():
     records = [
+        {"event": "setup", "ts": 0.5, "source": "synthesized", "generate_s": 1.25,
+         "gate_s": 0.05, "n_graphs": 600, "scenario": "single_delay"},
         {"event": "epoch", "epoch": 0, "loss": 2.0, "wall_s": 0.5, "grad_norm": 3.0},
         {"event": "epoch", "epoch": 1, "loss": 1.0, "wall_s": 0.7, "grad_norm": 9.0},
         {"event": "final", "ts": 1.0, "test_accuracy": 0.8},
@@ -79,6 +81,15 @@ def test_summarize_training_trajectory():
     assert summary["max_grad_norm"] == 9.0
     assert summary["final"]["test_accuracy"] == 0.8
     assert summary["evals"][0]["top_k_accuracy"] == 0.9
+    assert summary["setup"] == {
+        "source": "synthesized", "generate_s": 1.25, "gate_s": 0.05,
+        "n_graphs": 600, "scenario": "single_delay",
+    }
+
+
+def test_summarize_training_without_setup_has_no_section():
+    summary = summarize_training([{"event": "epoch", "epoch": 0, "loss": 1.0}])
+    assert "setup" not in summary
 
 
 def test_obs_cli_trace_text_and_json(tmp_path, capsys):
@@ -108,6 +119,21 @@ def test_obs_cli_train_summary(tmp_path, capsys):
     assert obs_main(["train", str(path)]) == 0
     out = capsys.readouterr().out
     assert "1 epochs" in out and "0.75" in out
+    assert "setup:" not in out
+
+
+def test_obs_cli_train_prints_one_setup_line(tmp_path, capsys):
+    path = tmp_path / "train.jsonl"
+    with TelemetryWriter(path) as writer:
+        writer.emit("setup", source="synthesized", generate_s=1.3312, gate_s=0.0641,
+                    n_graphs=600, scenario="single_delay")
+        writer.emit("epoch", epoch=0, loss=2.0, wall_s=0.1, grad_norm=1.0, lr=0.01)
+    assert obs_main(["train", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "setup: 600 graphs (single_delay) generated in 1.331 s, gated in 0.064 s"
+    )
+    assert sum(line.startswith("setup:") for line in lines) == 1
 
 
 def test_obs_cli_missing_or_empty_file_exits_2(tmp_path, capsys):

@@ -83,6 +83,11 @@ def test_metrics_log_captures_epochs_final_and_eval(tmp_path, capsys):
     (final,) = [r for r in records if r["event"] == "final"]
     assert 0.0 <= final["test_accuracy"] <= 1.0
     assert final["train_graphs"] + final["test_graphs"] == 20
+    (setup,) = [r for r in records if r["event"] == "setup"]
+    assert records[0] == setup
+    assert setup["source"] == "synthesized" and setup["scenario"] == "single_delay"
+    assert setup["n_graphs"] == 20
+    assert setup["generate_s"] > 0 and setup["gate_s"] > 0
 
     # m3d-evaluate appends its hit@k record to the same stream
     rc = evaluate_cli.main(
@@ -103,6 +108,7 @@ def test_metrics_log_captures_epochs_final_and_eval(tmp_path, capsys):
 
     summary = summarize_training(records)
     assert summary["epochs"] == 3
+    assert summary["setup"]["n_graphs"] == 20
     assert summary["final"]["test_accuracy"] == final["test_accuracy"]
     assert summary["evals"][0]["k"] == 3
 
@@ -160,3 +166,25 @@ def test_profile_memory_flag_adds_allocation_peaks(tmp_path, capsys):
     assert profiles
     # outermost phases carry allocation high-water marks
     assert any(p.get("peak_kb", 0) > 0 for p in profiles)
+
+
+def test_metrics_log_setup_event_for_a_data_dir(tmp_path, capsys):
+    from m3d_fault_loc.obs.telemetry import read_jsonl
+
+    common = ["--seed", "0", "--n-gates", "12", "--epochs", "1", "--hidden", "8"]
+    data_dir = tmp_path / "graphs"
+    rc = train_cli.main(
+        [*common, "--n-graphs", "10", "--out", str(tmp_path / "a.npz"),
+         "--save-data-dir", str(data_dir)]
+    )
+    assert rc == 0
+    metrics_path = tmp_path / "train.jsonl"
+    rc = train_cli.main(
+        [*common, "--data-dir", str(data_dir), "--out", str(tmp_path / "b.npz"),
+         "--metrics-log", str(metrics_path)]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    (setup,) = [r for r in read_jsonl(metrics_path) if r["event"] == "setup"]
+    assert setup["source"] == "data_dir" and setup["n_graphs"] == 10
+    assert setup["generate_s"] > 0 and setup["gate_s"] > 0
