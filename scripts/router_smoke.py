@@ -119,7 +119,7 @@ def _router_status(router_port: int) -> str:
 
 def _boot_replica(model: Path, port: int, trace_log: Path | None = None) -> subprocess.Popen:
     cmd = [sys.executable, "-m", "m3d_fault_loc.cli.serve", "--model", str(model),
-           "--port", str(port), "--workers", "2"]
+           "--port", str(port)]
     if trace_log is not None:
         cmd += ["--trace-log", str(trace_log)]
     return _boot(cmd, marker="serving on http://")

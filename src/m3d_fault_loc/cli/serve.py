@@ -55,8 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result-cache capacity (content-hash LRU entries)")
     parser.add_argument("--max-queue", type=int, default=256,
                         help="admission queue bound; beyond it requests are shed (429)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="batch workers in the pool (digest-sharded; 1 = single worker)")
+    parser.add_argument("--workers", type=int, default=1, choices=[1],
+                        help="batch workers per process (only 1; scale out with "
+                             "more m3d-serve replicas behind m3d-route)")
     parser.add_argument("--request-timeout-s", type=float, default=30.0,
                         help="default per-request deadline (504 past it)")
     parser.add_argument("--max-body-bytes", type=int, default=DEFAULT_MAX_BODY_BYTES,
@@ -127,44 +128,37 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     configure_json_logging(stream=sys.stderr, level=args.log_level.upper())
     tracer = build_tracer(args)
+    model = None
+    if args.model is not None:
+        if not args.model.exists():
+            print(f"no such model file: {args.model}", file=sys.stderr)
+            return 2
+        try:
+            model = DelayFaultLocalizer.load(args.model)
+        except ValueError as exc:
+            print(f"model error: {exc}", file=sys.stderr)
+            return 2
     try:
-        if args.model is not None:
-            if not args.model.exists():
-                print(f"no such model file: {args.model}", file=sys.stderr)
-                return 2
-            try:
-                model = DelayFaultLocalizer.load(args.model)
-            except ValueError as exc:
-                print(f"model error: {exc}", file=sys.stderr)
-                return 2
-            service = LocalizationService(
-                model=model,
-                max_batch=args.max_batch,
-                cache_size=args.cache_size,
-                max_queue=args.max_queue,
-                request_timeout_s=args.request_timeout_s,
-                drain_deadline_s=args.drain_deadline_s,
-                tracer=tracer,
-                num_workers=args.workers,
-            )
-        else:
-            service = LocalizationService(
-                registry=ModelRegistry(args.registry),
-                max_batch=args.max_batch,
-                cache_size=args.cache_size,
-                max_queue=args.max_queue,
-                request_timeout_s=args.request_timeout_s,
-                drain_deadline_s=args.drain_deadline_s,
-                tracer=tracer,
-                num_workers=args.workers,
-            )
+        service = LocalizationService(
+            model=model,
+            registry=None if args.registry is None else ModelRegistry(args.registry),
+            max_batch=args.max_batch,
+            cache_size=args.cache_size,
+            max_queue=args.max_queue,
+            request_timeout_s=args.request_timeout_s,
+            drain_deadline_s=args.drain_deadline_s,
+            tracer=tracer,
+        )
+        server = create_server(
+            service, host=args.host, port=args.port, max_body_bytes=args.max_body_bytes
+        )
     except ModelRegistryError as exc:
         print(f"registry error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
-    server = create_server(
-        service, host=args.host, port=args.port, max_body_bytes=args.max_body_bytes
-    )
     # Identity tags for cross-process stitching; the bound port is only
     # known here (``--port 0`` resolves at bind time).
     tracer.tags.update({"process": "replica", "addr": f"{args.host}:{server.port}"})

@@ -285,10 +285,9 @@ class Tracer:
         """Merge fields into an active trace's meta (late-arriving facts).
 
         Lets code that only learns an outcome mid-flight — which replica
-        finally served a routed request, which pool shard ran the batch —
-        stamp it on the trace without owning the trace lifecycle.
-        Annotations for unknown/finished traces are dropped silently, same
-        contract as :meth:`record`.
+        finally served a routed request — stamp it on the trace without
+        owning the trace lifecycle. Annotations for unknown/finished traces
+        are dropped silently, same contract as :meth:`record`.
         """
         if not self.enabled or not fields:
             return

@@ -1,10 +1,10 @@
-"""Micro-batched localization service with a supervised worker pool.
+"""Micro-batched localization service with one supervised batch worker.
 
 Request path: callers (one per HTTP connection thread) gate their graph
 through the m3dlint contract engine — ERROR findings raise
 :class:`~m3d_fault_loc.data.dataset.GraphContractError` and never reach the
 model — then look up the content-hash cache and, on a miss, enqueue the
-graph on a *bounded* thread-safe shard queue. Every request runs under a
+graph on a *bounded* thread-safe admission queue. Every request runs under a
 fault *scenario* (default ``single_delay``): the contract gate composes the
 structural rules with that scenario's M3D11x payload rules
 (:func:`~m3d_fault_loc.scenarios.build_scenario_engine`), results and
@@ -12,15 +12,13 @@ cache keys are scenario-tagged, and per-scenario request/rejection counters
 land on ``/metrics``. An unknown scenario raises
 :class:`~m3d_fault_loc.scenarios.UnknownScenarioError` (→ HTTP 422).
 
-**Worker pool.** ``num_workers`` batch workers (default 1 — the original
-single-worker topology) each own one *shard*: a bounded queue plus a worker
-thread that drains it into micro-batches (whatever is already queued when
-the worker goes idle, up to ``max_batch`` graphs — it never waits for a
-partner), runs one stacked
+**Batch worker.** One worker thread drains the queue into micro-batches
+(whatever is already queued when the worker goes idle, up to ``max_batch``
+graphs — it never waits for a partner), runs one stacked
 ``node_scores_batch`` forward pass, and resolves the per-request futures.
-Requests are routed to shards by **hash of content digest**, so a repeat
-payload lands on the same worker. The model, and with it its
-topology-keyed ``AggregationOperatorCache``, is shared by every shard.
+Workers are threads sharing one GIL, so more of them would add no
+capacity; scale-out is separate ``m3d-serve`` processes behind
+``m3d-route``.
 
 Failure modes are explicit and bounded (see
 :mod:`m3d_fault_loc.serve.resilience`):
@@ -28,20 +26,17 @@ Failure modes are explicit and bounded (see
 - every request carries a :class:`Deadline`; an expired request raises
   :class:`DeadlineExceededError` at the caller and is *dropped* by the
   worker instead of wasting a forward pass;
-- a full shard queue sheds the request
+- a full admission queue sheds the request
   (:class:`LoadSheddedError` → HTTP 429) instead of growing without bound;
   the advertised ``Retry-After`` is derived from queue depth and jittered
   ±20 % so shed clients do not stampede back in sync;
 - consecutive batch failures trip a half-open :class:`CircuitBreaker`
   (:class:`CircuitOpenError` → HTTP 503) that probes before closing;
-- one watchdog thread supervises **every** worker: a dead or stalled worker
-  fails only *its shard's* in-flight futures with
-  :class:`WorkerCrashedError` (crash isolation — sibling shards keep
-  serving), is restarted with per-shard exponential backoff, and while the
-  restart is pending its shard is **rerouted to siblings** in degraded
-  mode; the ``ok``/``degraded``/``unhealthy`` health machine plus a
-  pool-aware ``ok``/``degraded-k-of-n``/``unhealthy`` state land on
-  ``/healthz``;
+- a watchdog thread supervises the worker: a dead or stalled worker has
+  its in-flight and queued futures failed with :class:`WorkerCrashedError`
+  and is restarted after an exponential backoff; requests admitted while
+  the restart is pending wait in the queue for the replacement. The
+  ``ok``/``degraded``/``unhealthy`` health machine lands on ``/healthz``;
 - draining stops admission, lets queued work finish within a deadline, and
   fails leftovers deterministically with :class:`ServiceDrainingError`.
 
@@ -93,11 +88,6 @@ log = get_logger(__name__)
 _IDLE_POLL_S = 0.05
 #: How often the drain loop re-checks for an empty pipeline.
 _DRAIN_POLL_S = 0.005
-
-#: Worker thread-name prefix; the shard index follows it. The chaos harness
-#: (``m3d_fault_loc.testing.chaos.current_shard_index``) relies on this to
-#: target faults at worker *i* of *n* through a shared model object.
-WORKER_THREAD_PREFIX = "m3d-localize-worker-"
 
 
 @dataclass(frozen=True)
@@ -159,57 +149,11 @@ class _Pending:
             return False
 
 
-class _WorkerShard:
-    """One worker's slice of the pool: queue, thread, and supervision state.
-
-    Everything the watchdog needs to supervise — and restart — one worker
-    independently of its siblings lives here: the bounded shard queue, the
-    generation counter that retires superseded threads, the heartbeat for
-    stall detection, the in-flight record for crash isolation, a *per-shard*
-    restart backoff, and the reroute flag that sends this shard's traffic to
-    siblings while a restart is pending.
-    """
-
-    def __init__(self, index: int, max_queue: int, backoff: ExponentialBackoff):
-        self.index = index
-        self.queue: queue.Queue[_Pending | None] = queue.Queue(maxsize=max_queue)
-        self.thread: threading.Thread | None = None
-        self.gen = 0
-        self.heartbeat = time.monotonic()
-        self.in_flight: list[_Pending] = []
-        self.flight_lock = threading.Lock()
-        self.backoff = backoff
-        self.restarts = 0
-        self.batches = 0
-        #: While True, new traffic for this shard is served by siblings.
-        self.rerouted = False
-        #: Monotonic time at which the watchdog respawns the worker (the
-        #: backoff delay is absorbed here so the watchdog never sleeps —
-        #: one wedged shard must not delay supervision of the others).
-        self.restart_at: float | None = None
-
-    def alive(self) -> bool:
-        return self.thread is not None and self.thread.is_alive()
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "alive": self.alive(),
-            "queue_depth": self.queue.qsize(),
-            "in_flight": len(self.in_flight),
-            "restarts": self.restarts,
-            "batches": self.batches,
-            "rerouted": self.rerouted,
-        }
-
-
 class LocalizationService:
     """Thread-safe, micro-batched front end over :class:`DelayFaultLocalizer`.
 
     Exactly one of ``model`` (fixed ad-hoc artifact) or ``registry``
     (versioned artifacts + hot reload of the active version) must be given.
-    ``num_workers`` sizes the batch-worker pool; 1 (the default) is the
-    original single-worker topology, byte-for-byte.
     """
 
     def __init__(
@@ -230,7 +174,6 @@ class LocalizationService:
         unhealthy_after: int = 3,
         drain_deadline_s: float = 5.0,
         tracer: Tracer | None = None,
-        num_workers: int = 1,
     ):
         if (model is None) == (registry is None):
             raise ValueError("pass exactly one of model= or registry=")
@@ -238,12 +181,13 @@ class LocalizationService:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        if request_timeout_s is not None and not request_timeout_s > 0:
+            raise ValueError(f"request_timeout_s must be > 0 or None, got {request_timeout_s}")
+        if not drain_deadline_s > 0:
+            raise ValueError(f"drain_deadline_s must be > 0, got {drain_deadline_s}")
         self.registry = registry
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self.num_workers = num_workers
         self.request_timeout_s = request_timeout_s
         self.shed_retry_after_s = shed_retry_after_s
         self.watchdog_interval_s = watchdog_interval_s
@@ -255,20 +199,18 @@ class LocalizationService:
         self._scenario_engines: dict[str, RuleEngine] = {}
         self._scenario_lock = threading.Lock()
         self._cache = LRUResultCache(capacity=cache_size)
-        template = restart_backoff or ExponentialBackoff(base_s=0.05, max_s=2.0)
-        # The admission bound is pool-wide: shards split max_queue between
-        # them so scaling workers does not silently multiply queueing.
-        per_shard_queue = max(1, max_queue // num_workers)
-        self._shards: list[_WorkerShard] = [
-            _WorkerShard(
-                i,
-                per_shard_queue,
-                ExponentialBackoff(
-                    base_s=template.base_s, factor=template.factor, max_s=template.max_s
-                ),
-            )
-            for i in range(num_workers)
-        ]
+        # Worker and supervision state. ``_gen`` retires a superseded
+        # thread, ``_heartbeat`` feeds stall detection, ``_in_flight`` is
+        # what the watchdog fails when the worker dies mid-batch, and
+        # ``_restart_at`` schedules the respawn so the watchdog never sleeps.
+        self._queue: queue.Queue[_Pending | None] = queue.Queue(maxsize=max_queue)
+        self._worker: threading.Thread | None = None
+        self._gen = 0
+        self._heartbeat = time.monotonic()
+        self._in_flight: list[_Pending] = []
+        self._flight_lock = threading.Lock()
+        self._backoff = restart_backoff or ExponentialBackoff(base_s=0.05, max_s=2.0)
+        self._restart_at: float | None = None
         self._watchdog: threading.Thread | None = None
         self._start_lock = threading.Lock()
         self._reload_lock = threading.Lock()
@@ -314,13 +256,7 @@ class LocalizationService:
         self.m_drain_failed = m.counter(
             "m3d_drain_failures_total", "requests failed at the drain deadline"
         )
-        self.m_rerouted = m.counter(
-            "m3d_shard_reroutes_total", "requests rerouted off their home shard to a sibling"
-        )
-        self.m_queue_depth = m.gauge("m3d_queue_depth", "requests waiting in the batch queues")
-        self.m_pool_size = m.gauge("m3d_pool_size", "configured batch workers in the pool")
-        self.m_pool_size.set(num_workers)
-        self.m_pool_alive = m.gauge("m3d_pool_workers_alive", "batch workers currently alive")
+        self.m_queue_depth = m.gauge("m3d_queue_depth", "requests waiting in the batch queue")
         self.m_breaker_state = m.state_gauge(
             "m3d_breaker_state", "circuit breaker state", states=CircuitBreaker.STATES
         )
@@ -345,24 +281,6 @@ class LocalizationService:
         self.m_stage_infer = m.histogram(
             "m3d_stage_inference_seconds", "per-stage latency: batched model forward pass"
         )
-        # Per-worker instruments (suffix-named: the registry has no label
-        # support) so one sick shard is visible without log archaeology.
-        self.m_worker_batches = [
-            m.counter(
-                f"m3d_worker_batches_total_w{i}", f"forward passes executed by worker {i}"
-            )
-            for i in range(num_workers)
-        ]
-        self.m_worker_restart_by = [
-            m.counter(
-                f"m3d_worker_restarts_total_w{i}", f"watchdog restarts of worker {i}"
-            )
-            for i in range(num_workers)
-        ]
-        self.m_worker_depth = [
-            m.gauge(f"m3d_worker_queue_depth_w{i}", f"requests queued on shard {i}")
-            for i in range(num_workers)
-        ]
 
         self._breaker = breaker or CircuitBreaker()
         self._breaker.set_transition_listener(self._on_breaker_transition)
@@ -381,44 +299,11 @@ class LocalizationService:
             self._active_ref = None
             self._install_model(model, None)
 
-    # -- pool topology -----------------------------------------------------
+    # -- admission queue ---------------------------------------------------
 
     def queue_depth(self) -> int:
-        """Requests waiting across every shard queue."""
-        return sum(shard.queue.qsize() for shard in self._shards)
-
-    def _shard_for(self, digest: str) -> _WorkerShard:
-        """Route a request to its home shard by hash of content digest.
-
-        A shard whose worker is mid-restart (``rerouted``) is skipped and
-        the request walks to the next healthy sibling — degraded mode, so a
-        single worker death never refuses the whole keyspace. If every
-        shard is rerouted the home shard is used anyway; its queue entries
-        are failed by the watchdog rather than silently dropped.
-        """
-        shards = self._shards
-        n = len(shards)
-        if n == 1:
-            return shards[0]
-        home = int(digest[:8], 16) % n
-        for hop in range(n):
-            shard = shards[(home + hop) % n]
-            if not shard.rerouted:
-                if hop:
-                    self.m_rerouted.inc()
-                    log.warning(
-                        "shard_rerouted", home=home, serving=shard.index, digest=digest[:12]
-                    )
-                return shard
-        return shards[home]
-
-    def _set_queue_gauges(self) -> None:
-        total = 0
-        for shard in self._shards:
-            depth = shard.queue.qsize()
-            total += depth
-            self.m_worker_depth[shard.index].set(depth)
-        self.m_queue_depth.set(total)
+        """Requests waiting in the admission queue."""
+        return self._queue.qsize()
 
     def _shed_retry_after_s(self) -> float:
         """Queue-depth-derived, ±20 %-jittered shed backoff.
@@ -512,32 +397,6 @@ class LocalizationService:
             stats["agg_operator"] = agg.stats()
         return stats
 
-    def pool_snapshot(self) -> dict[str, Any]:
-        """Pool-level state: ``ok`` / ``degraded-k-of-n`` / ``unhealthy``.
-
-        ``state`` degrades as soon as any worker is dead or rerouted —
-        capacity is reduced even though every request still gets an answer
-        — and is ``unhealthy`` only when no worker is alive at all.
-        """
-        workers = [shard.snapshot() for shard in self._shards]
-        alive = sum(1 for w in workers if w["alive"])
-        n = len(workers)
-        rerouted = [w["index"] for w in workers if w["rerouted"]]
-        if alive == 0:
-            state = "unhealthy"
-        elif alive < n or rerouted:
-            state = f"degraded-{alive}-of-{n}"
-        else:
-            state = "ok"
-        self.m_pool_alive.set(alive)
-        return {
-            "size": n,
-            "alive": alive,
-            "state": state,
-            "rerouted_shards": rerouted,
-            "workers": workers,
-        }
-
     def health_snapshot(self) -> dict[str, Any]:
         """Structured health for ``/healthz``: status machine + components."""
         health = self._health.snapshot()
@@ -545,12 +404,11 @@ class LocalizationService:
         if self._draining or self._closed:
             status = "draining"
         info = self.describe_model()
-        pool = self.pool_snapshot()
+        worker = self._worker
         return {
             "status": status,
             "model": {"name": info["name"], "version": info["version"]},
-            "worker": {"alive": pool["alive"] == pool["size"], **health},
-            "pool": pool,
+            "worker": {"alive": worker is not None and worker.is_alive(), **health},
             "breaker": self._breaker.snapshot(),
             "queue_depth": self.queue_depth(),
             "draining": bool(self._draining or self._closed),
@@ -599,27 +457,25 @@ class LocalizationService:
         with self._start_lock:
             if self._closed:
                 raise RuntimeError("service is closed")
-            for shard in self._shards:
-                if shard.thread is None:
-                    self._spawn_worker(shard)
+            if self._worker is None:
+                self._spawn_worker()
             if self._watchdog is None and self.watchdog_interval_s is not None:
                 self._watchdog = threading.Thread(
                     target=self._watchdog_loop, name="m3d-localize-watchdog", daemon=True
                 )
                 self._watchdog.start()
 
-    def _spawn_worker(self, shard: _WorkerShard) -> None:
-        gen = shard.gen
-        shard.heartbeat = time.monotonic()
-        shard.restart_at = None
-        shard.rerouted = False
-        shard.thread = threading.Thread(
+    def _spawn_worker(self) -> None:
+        gen = self._gen
+        self._heartbeat = time.monotonic()
+        self._restart_at = None
+        self._worker = threading.Thread(
             target=self._worker_loop,
-            args=(shard, gen),
-            name=f"{WORKER_THREAD_PREFIX}{shard.index}-g{gen}",
+            args=(gen,),
+            name=f"m3d-localize-worker-g{gen}",
             daemon=True,
         )
-        shard.thread.start()
+        self._worker.start()
 
     def begin_drain(self) -> None:
         """Stop admitting requests; already-queued work keeps flowing."""
@@ -636,10 +492,8 @@ class LocalizationService:
         """
         deadline = Deadline.after(deadline_s if deadline_s is not None else self.drain_deadline_s)
         while not deadline.expired():
-            busy = False
-            for shard in self._shards:
-                with shard.flight_lock:
-                    busy = busy or bool(shard.in_flight)
+            with self._flight_lock:
+                busy = bool(self._in_flight)
             if not busy and self.queue_depth() == 0:
                 break
             time.sleep(_DRAIN_POLL_S)
@@ -659,20 +513,19 @@ class LocalizationService:
                 return
             self._closed = True
             self._draining = True
-            shards = list(self._shards)
+            # The watchdog respawns only under this lock and only while the
+            # service is open, so this is the last worker there will be.
+            worker = self._worker
             watchdog = self._watchdog
-        if any(shard.alive() for shard in shards):
+        if worker is not None and worker.is_alive():
             self.await_drain(self.drain_deadline_s)
         self._stop_requested.set()
-        for shard in shards:
-            if shard.thread is not None:
-                try:
-                    shard.queue.put_nowait(None)
-                except queue.Full:
-                    pass
-        for shard in shards:
-            if shard.thread is not None:
-                shard.thread.join(timeout=5.0)
+        if worker is not None:
+            try:
+                self._queue.put_nowait(None)
+            except queue.Full:
+                pass
+            worker.join(timeout=5.0)
         if watchdog is not None:
             watchdog.join(timeout=5.0)
 
@@ -692,7 +545,7 @@ class LocalizationService:
         timeout_s: float | None = None,
         scenario: str | None = None,
     ) -> LocalizationResult:
-        """Gate, cache-check, and (on a miss) batch one graph through the pool.
+        """Gate, cache-check, and (on a miss) batch one graph through the worker.
 
         ``timeout_s`` is this request's deadline (defaults to the service's
         ``request_timeout_s``); it bounds queue wait *and* is honored by the
@@ -802,13 +655,12 @@ class LocalizationService:
             scenario=scenario,
         )
         pending.enqueued_at = time.perf_counter()
-        shard = self._shard_for(digest)
         try:
-            shard.queue.put_nowait(pending)
+            self._queue.put_nowait(pending)
         except queue.Full:
             self.m_shed.inc()
             raise LoadSheddedError(self.max_queue, self._shed_retry_after_s()) from None
-        self._set_queue_gauges()
+        self.m_queue_depth.set(self._queue.qsize())
         with self.tracer.span("await_result", trace_id=trace_id):
             try:
                 result: LocalizationResult = pending.future.result(timeout=deadline.remaining())
@@ -827,22 +679,22 @@ class LocalizationService:
 
     # -- worker ------------------------------------------------------------
 
-    def _worker_loop(self, shard: _WorkerShard, gen: int) -> None:
+    def _worker_loop(self, gen: int) -> None:
         while True:
             try:
-                if shard.gen != gen:
+                if self._gen != gen:
                     return  # superseded by a watchdog restart
-                shard.heartbeat = time.monotonic()
+                self._heartbeat = time.monotonic()
                 try:
-                    item = shard.queue.get(timeout=_IDLE_POLL_S)
+                    item = self._queue.get(timeout=_IDLE_POLL_S)
                 except queue.Empty:
                     if self._stop_requested.is_set():
                         return
                     continue
                 if item is None:
                     return
-                batch = self._collect_batch(shard, item)
-                self._set_queue_gauges()
+                batch = self._collect_batch(item)
+                self.m_queue_depth.set(self._queue.qsize())
                 live = self._drop_expired(batch)
                 if not live:
                     continue
@@ -854,28 +706,23 @@ class LocalizationService:
                         p.trace_id,
                         max(0.0, dequeued - p.enqueued_at),
                         parent="await_result",
-                        worker=shard.index,
                     )
-                    # Stamp the shard on the trace meta too, so stitched
-                    # waterfalls show which pool worker ran the batch
-                    # without digging through span metadata.
-                    self.tracer.annotate(p.trace_id, worker=shard.index)
                 # Gen-guarded: a worker superseded mid-batch by the watchdog
                 # must not clobber its replacement's in-flight record.
-                with shard.flight_lock:
-                    if shard.gen == gen:
-                        shard.in_flight = list(live)
+                with self._flight_lock:
+                    if self._gen == gen:
+                        self._in_flight = list(live)
                 self._maybe_reload()
-                self._run_batch(shard, live)
-                with shard.flight_lock:
-                    if shard.gen == gen:
-                        shard.in_flight = []
+                self._run_batch(live)
+                with self._flight_lock:
+                    if self._gen == gen:
+                        self._in_flight = []
             except Exception:
                 # A worker that dies silently strands every queued future;
                 # anything short of thread death must keep the loop alive.
-                log.exception("worker_iteration_failed", worker=shard.index)
+                log.exception("worker_iteration_failed")
 
-    def _collect_batch(self, shard: _WorkerShard, first: _Pending) -> list[_Pending]:
+    def _collect_batch(self, first: _Pending) -> list[_Pending]:
         """Dispatch on idle: take only what is already queued behind ``first``.
 
         Never waits for a partner, so a lone miss goes straight to the
@@ -885,7 +732,7 @@ class LocalizationService:
         batch = [first]
         while len(batch) < self.max_batch:
             try:
-                nxt = shard.queue.get_nowait()
+                nxt = self._queue.get_nowait()
             except queue.Empty:
                 break
             if nxt is None:
@@ -904,7 +751,7 @@ class LocalizationService:
                 live.append(p)
         return live
 
-    def _run_batch(self, shard: _WorkerShard, batch: list[_Pending]) -> None:
+    def _run_batch(self, batch: list[_Pending]) -> None:
         model, info, prefix = self._model_state
         t0 = time.perf_counter()
         try:
@@ -917,7 +764,6 @@ class LocalizationService:
                     trace_id=p.trace_id,
                     error=type(exc).__name__,
                     batch=len(batch),
-                    worker=shard.index,
                 )
                 p.fail(exc)
             return
@@ -925,18 +771,11 @@ class LocalizationService:
         self.m_stage_infer.observe(infer_s)
         for p in batch:
             self.tracer.record(
-                p.trace_id,
-                "batch_infer",
-                infer_s,
-                parent="await_result",
-                batch=len(batch),
-                worker=shard.index,
+                p.trace_id, "batch_infer", infer_s, parent="await_result", batch=len(batch)
             )
         self._breaker.record_success()
         self._health.record_success()
-        shard.backoff.reset()
-        shard.batches += 1
-        self.m_worker_batches[shard.index].inc()
+        self._backoff.reset()
         self.m_forward_passes.inc()
         self.m_batch_size.observe(len(batch))
         self.m_graphs.inc(len(batch))
@@ -953,73 +792,65 @@ class LocalizationService:
             try:
                 if self._stop_requested.wait(interval):
                     return
-                now = time.monotonic()
-                for shard in self._shards:
-                    self._supervise(shard, now)
-                self.m_pool_alive.set(sum(1 for s in self._shards if s.alive()))
+                self._supervise(time.monotonic())
             except Exception:
                 log.exception("watchdog_iteration_failed")
 
-    def _supervise(self, shard: _WorkerShard, now: float) -> None:
-        """One watchdog pass over one shard: respawn if due, else health-check.
+    def _supervise(self, now: float) -> None:
+        """One watchdog pass: respawn if due, else health-check the worker.
 
-        The restart backoff is a *scheduled time* (``shard.restart_at``),
-        never a sleep — the watchdog must keep supervising healthy siblings
-        while one shard waits out its backoff. Crash isolation: only the
-        dead shard's in-flight and queued futures are failed; traffic for
-        the shard reroutes to siblings until the replacement worker is up.
+        The restart backoff is a *scheduled time* (``_restart_at``), never a
+        sleep. A dead or stalled worker has its in-flight and queued futures
+        failed; requests admitted while the restart is pending wait in the
+        queue for the replacement worker.
         """
-        if shard.restart_at is not None:
-            if now >= shard.restart_at:
+        if self._restart_at is not None:
+            if now >= self._restart_at:
                 with self._start_lock:
                     if not self._closed:
-                        self._spawn_worker(shard)
+                        self._spawn_worker()
             return
-        worker = shard.thread
+        worker = self._worker
         if worker is None:
             return
         dead = not worker.is_alive()
-        stalled = not dead and self._stalled(shard)
+        stalled = not dead and self._stalled()
         if not (dead or stalled):
             return
         reason = "batch worker thread died" if dead else "batch worker stalled"
-        log.error("watchdog_restart", worker=shard.index, reason=reason)
-        self._health.record_worker_failure(f"worker {shard.index}: {reason}")
+        log.error("watchdog_restart", reason=reason)
+        self._health.record_worker_failure(reason)
         self.m_worker_restarts.inc()
-        self.m_worker_restart_by[shard.index].inc()
-        shard.restarts += 1
-        shard.gen += 1  # a stalled-but-alive worker exits when it unblocks
-        self._fail_shard(shard, WorkerCrashedError(f"{reason}; failed by watchdog"))
-        # Reroute only makes sense with siblings; a 1-worker pool just waits.
-        shard.rerouted = len(self._shards) > 1
-        shard.restart_at = now + shard.backoff.next_delay()
+        self._gen += 1  # a stalled-but-alive worker exits when it unblocks
+        self._fail_pending(WorkerCrashedError(f"{reason}; failed by watchdog"))
+        self._restart_at = now + self._backoff.next_delay()
 
-    def _stalled(self, shard: _WorkerShard) -> bool:
+    def _stalled(self) -> bool:
         if self.stall_timeout_s is None:
             return False
-        with shard.flight_lock:
-            busy = bool(shard.in_flight)
-        busy = busy or shard.queue.qsize() > 0
-        return busy and (time.monotonic() - shard.heartbeat) > self.stall_timeout_s
+        with self._flight_lock:
+            busy = bool(self._in_flight)
+        busy = busy or self._queue.qsize() > 0
+        return busy and (time.monotonic() - self._heartbeat) > self.stall_timeout_s
 
-    def _fail_shard(self, shard: _WorkerShard, exc: BaseException) -> int:
-        """Fail one shard's stranded requests (in-flight + queued).
+    def _fail_pending(self, exc: BaseException) -> int:
+        """Fail every stranded request (in-flight + queued); returns count.
 
         Each victim is logged with *its own* trace id — the watchdog and the
         drain path run far from the request's thread, so the ambient context
         cannot name the casualties; the pending record can.
         """
-        with shard.flight_lock:
-            stranded = list(shard.in_flight)
-            shard.in_flight = []
+        with self._flight_lock:
+            stranded = list(self._in_flight)
+            self._in_flight = []
         while True:
             try:
-                item = shard.queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is not None:
                 stranded.append(item)
-        self.m_worker_depth[shard.index].set(0)
+        self.m_queue_depth.set(0)
         failed = 0
         for p in stranded:
             if p.fail(exc):
@@ -1029,16 +860,7 @@ class LocalizationService:
                     trace_id=p.trace_id,
                     error=type(exc).__name__,
                     detail=str(exc),
-                    worker=shard.index,
                 )
-        return failed
-
-    def _fail_pending(self, exc: BaseException) -> int:
-        """Fail every stranded request across the whole pool; returns count."""
-        failed = 0
-        for shard in self._shards:
-            failed += self._fail_shard(shard, exc)
-        self.m_queue_depth.set(0)
         return failed
 
     @staticmethod

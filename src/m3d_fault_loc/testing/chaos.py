@@ -17,15 +17,6 @@ number of times — chaos tests must be reproducible, never probabilistic:
 - :class:`FlakyIO` — a callable for ``ModelRegistry.io_fault_hook`` that
   raises for the first N I/O attempts, exercising retry-with-backoff.
 
-Pool-level faults (the worker-pool topology shares one model object across
-shards, so these shims key off the worker thread's *name* — see
-:func:`current_shard_index` — to target worker *i* of *n*):
-
-- :class:`CrashShardWorkerModel` — kills only the worker thread for one
-  chosen shard, the others keep serving (crash isolation + reroute).
-- :class:`StallShardModel` — wedges only one shard's forward passes so the
-  per-shard stall detector (not its siblings') fires.
-
 Network/replica-level faults for the router tier:
 
 - :class:`StubReplica` — a programmable in-process HTTP replica with
@@ -52,25 +43,6 @@ from m3d_fault_loc.graph.schema import CircuitGraph
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.serve.http import TRACE_HEADER, JSONHandler
 from m3d_fault_loc.serve.registry import ModelRegistry
-from m3d_fault_loc.serve.service import WORKER_THREAD_PREFIX
-
-
-def current_shard_index() -> int | None:
-    """Shard index of the calling batch-worker thread, ``None`` elsewhere.
-
-    Worker threads are named ``m3d-localize-worker-<shard>-g<gen>`` by the
-    service; parsing the name lets a *shared* chaos model decide which
-    shard's calls to sabotage without any plumbing through the service.
-    """
-    name = threading.current_thread().name
-    if not name.startswith(WORKER_THREAD_PREFIX):
-        return None
-    tail = name[len(WORKER_THREAD_PREFIX):]
-    shard, _, _ = tail.partition("-")
-    try:
-        return int(shard)
-    except ValueError:
-        return None
 
 
 class WorkerKilled(BaseException):
@@ -252,86 +224,6 @@ class FlakyIO:
             self.calls += 1
             if self.calls <= self.failures:
                 raise self.exc_type(f"injected transient I/O failure {self.calls}")
-
-
-class CrashShardWorkerModel(ChaosModelWrapper):
-    """Kill worker ``target_shard``'s thread on its ``crash_on``-th batch.
-
-    Calls from every *other* shard pass straight through — the shape needed
-    to prove crash isolation: shard *i* dies, its in-flight futures fail
-    with trace ids, its traffic reroutes to siblings, and the siblings
-    never notice. ``crash_count`` bounds how many of the target shard's
-    batches die (the watchdog's restarted worker then succeeds).
-    """
-
-    def __init__(
-        self,
-        base: DelayFaultLocalizer,
-        target_shard: int,
-        crash_on: int = 1,
-        crash_count: int | None = 1,
-    ):
-        super().__init__(base)
-        if target_shard < 0:
-            raise ValueError(f"target_shard must be >= 0, got {target_shard}")
-        if crash_on < 1:
-            raise ValueError(f"crash_on counts from 1, got {crash_on}")
-        self.target_shard = target_shard
-        self.crash_on = crash_on
-        self.crash_count = crash_count
-        self.shard_calls = 0
-
-    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
-        self._next_call()
-        if current_shard_index() == self.target_shard:
-            with self._lock:
-                self.shard_calls += 1
-                call = self.shard_calls
-            if call >= self.crash_on and (
-                self.crash_count is None or call < self.crash_on + self.crash_count
-            ):
-                raise WorkerKilled(
-                    f"injected kill of shard {self.target_shard} (shard call {call})"
-                )
-        return self._base.node_scores_batch(graphs)
-
-
-class StallShardModel(ChaosModelWrapper):
-    """Wedge only shard ``target_shard``: its forward passes block on an
-    event (or sleep ``delay_s``), siblings run at full speed.
-
-    Exercises the *per-shard* stall detector: the watchdog must restart the
-    wedged worker on heartbeat age while the healthy shards' heartbeats
-    keep them untouched. Call :meth:`release` to unwedge (the superseded
-    worker then exits on its generation check).
-    """
-
-    def __init__(
-        self, base: DelayFaultLocalizer, target_shard: int, delay_s: float | None = None
-    ):
-        super().__init__(base)
-        if target_shard < 0:
-            raise ValueError(f"target_shard must be >= 0, got {target_shard}")
-        self.target_shard = target_shard
-        self.delay_s = delay_s
-        self._release = threading.Event()
-        self.stalled_calls = 0
-
-    def release(self) -> None:
-        self._release.set()
-
-    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
-        self._next_call()
-        if current_shard_index() == self.target_shard and not self._release.is_set():
-            with self._lock:
-                self.stalled_calls += 1
-            if self.delay_s is not None:
-                time.sleep(self.delay_s)
-            else:
-                # Bounded even for the "wedge forever" mode: a forgotten
-                # release() must fail the test loudly, not hang the suite.
-                self._release.wait(timeout=60.0)
-        return self._base.node_scores_batch(graphs)
 
 
 class _StubReplicaHandler(JSONHandler):

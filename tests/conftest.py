@@ -22,7 +22,6 @@ from m3d_fault_loc.testing import racecheck
 RACECHECK_MODULES = (
     "test_chaos",
     "test_concurrency_stress",
-    "test_pool_chaos",
     "test_router",
     "test_serve_http",
 )

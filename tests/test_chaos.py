@@ -6,14 +6,19 @@ Every acceptance behavior of the resilience layer is driven by a shim from
 - a request past its deadline gets a structured failure (HTTP 504) without
   blocking the worker, and expired queue entries are dropped unscored;
 - a full admission queue sheds with 429 + ``Retry-After`` and a counter;
+  the hint is queue-depth derived and jittered within ±20 %;
 - a killed batch worker fails queued futures fast, flips ``/healthz`` to
-  ``degraded``, restarts, and serves again (recovery back to ``ok``);
+  ``degraded``, restarts, and serves again (recovery back to ``ok``); a
+  request admitted while the restart backs off waits for the replacement;
 - consecutive batch failures trip the circuit breaker; a half-open probe
   closes it once the model recovers;
 - a corrupt artifact is quarantined and can never become ACTIVE; a corrupt
   hot-reload target keeps the old model serving;
 - draining completes queued work within its deadline, fails leftovers
-  deterministically, and SIGTERM drives the whole sequence end-to-end.
+  deterministically (also mid hot reload), and SIGTERM drives the whole
+  sequence end-to-end;
+- the serve CLI refuses an invalid config with one ``config error:`` line
+  and exit 2, never a traceback or a server that fails every request.
 """
 
 import http.client
@@ -40,6 +45,7 @@ from m3d_fault_loc.serve.resilience import (
     LoadSheddedError,
     ServiceDrainingError,
     WorkerCrashedError,
+    jittered,
 )
 from m3d_fault_loc.serve.server import create_server
 from m3d_fault_loc.serve.service import LocalizationService
@@ -79,6 +85,15 @@ def wait_until(predicate, timeout=5.0, interval=0.01):
             return True
         time.sleep(interval)
     return False
+
+
+def get_health(port):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    conn.request("GET", "/healthz")
+    response = conn.getresponse()
+    payload = json.loads(response.read())
+    conn.close()
+    return response.status, payload
 
 
 def localize_in_thread(service, graph, results, key, **kwargs):
@@ -209,6 +224,47 @@ def test_http_shed_maps_to_429_with_retry_after(graphs):
         thread.join(timeout=5)
 
 
+def test_jittered_bounds_and_validation():
+    values = [jittered(2.0) for _ in range(200)]
+    assert all(1.6 <= v <= 2.4 for v in values), "±20% bounds"
+    assert len(set(values)) > 1, "jitter must actually vary"
+    assert jittered(0.0) == 0.0
+    with pytest.raises(ValueError):
+        jittered(-1.0)
+    with pytest.raises(ValueError):
+        jittered(1.0, fraction=1.0)
+
+
+def test_shed_retry_after_scales_with_queue_depth(graphs):
+    model = SlowBatchModel(base_model(), delay_s=0.5, slow_calls=None)
+    with make_service(
+        model, cache_size=1, max_queue=2, max_batch=1, shed_retry_after_s=1.0
+    ) as service:
+        results: dict[str, object] = {}
+        threads = [
+            localize_in_thread(service, g, results, i, timeout_s=5.0)
+            for i, g in enumerate(graphs[:3])
+        ]
+        # One request occupies the worker, two fill max_queue=2; the next
+        # must shed with a depth-derived, jittered hint: base 1.0s scaled by
+        # (1 + depth/max_queue) ∈ [1, 2], jittered ±20% → [0.8, 2.4].
+        assert wait_until(lambda: service.queue_depth() >= 2, timeout=3.0)
+        hints = []
+        for _ in range(5):
+            try:
+                service.localize(graphs[3], timeout_s=0.05)
+            except LoadSheddedError as exc:
+                hints.append(exc.retry_after_s)
+            except Exception:
+                pass
+        assert hints, "a full queue must shed"
+        assert all(0.8 <= h <= 2.4 for h in hints), hints
+        # Depth 2 of 2 → scale factor 2.0 → lower bound with jitter is 1.6.
+        assert max(hints) >= 1.0
+        for t in threads:
+            t.join(timeout=5.0)
+
+
 # -- worker supervision ----------------------------------------------------
 
 
@@ -251,20 +307,12 @@ def test_healthz_reflects_degraded_and_recovery_over_http(graphs):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
 
-    def get_health():
-        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
-        conn.request("GET", "/healthz")
-        response = conn.getresponse()
-        payload = json.loads(response.read())
-        conn.close()
-        return response.status, payload
-
     try:
-        status, health = get_health()
+        status, health = get_health(server.port)
         assert status == 200 and health["status"] == "ok"
         with pytest.raises(WorkerCrashedError):
             service.localize(graphs[0], timeout_s=10.0)
-        status, health = get_health()
+        status, health = get_health(server.port)
         assert status == 200, "degraded still serves (reduced capacity, not dead)"
         assert health["status"] == "degraded"
         assert health["worker"]["worker_restarts"] >= 1
@@ -274,8 +322,48 @@ def test_healthz_reflects_degraded_and_recovery_over_http(graphs):
                 service_try(service, graphs[1]), Exception
             )
         )
-        status, health = get_health()
+        status, health = get_health(server.port)
         assert status == 200 and health["status"] == "ok"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+        thread.join(timeout=5)
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_request_admitted_during_restart_backoff_is_served_by_replacement(graphs):
+    model = CrashOnNthBatchModel(base_model(), crash_on=1, crash_count=1, kill_worker=True)
+    service = make_service(
+        model, restart_backoff=ExponentialBackoff(base_s=0.3, factor=2.0, max_s=0.3)
+    )
+    server = create_server(service, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+
+    try:
+        with pytest.raises(WorkerCrashedError):
+            service.localize(graphs[0], timeout_s=5.0)
+        # The restart is backing off: no worker is alive to take new work.
+        status, health = get_health(server.port)
+        assert status == 200 and health["status"] == "degraded"
+        assert health["worker"]["alive"] is False
+
+        results: dict[str, object] = {}
+        t = localize_in_thread(service, graphs[1], results, "late", timeout_s=5.0)
+        assert wait_until(lambda: service.queue_depth() == 1, timeout=1.0)
+        assert "late" not in results, "a request admitted mid-backoff is queued, not failed"
+        status, health = get_health(server.port)
+        assert health["status"] == "degraded"
+
+        t.join(timeout=5.0)
+        assert not isinstance(results["late"], Exception), results["late"]
+        assert results["late"].num_nodes == graphs[1].num_nodes
+        assert model.batch_calls == 2, "the replacement worker scored the late request"
+        assert service.m_worker_restarts.value == 1
+        status, health = get_health(server.port)
+        assert status == 200 and health["status"] == "ok"
+        assert health["worker"]["alive"] is True
     finally:
         server.shutdown()
         server.server_close()
@@ -396,27 +484,62 @@ def test_malformed_hot_reload_target_keeps_old_model_serving(tmp_path, graphs, k
         assert service.m_reload_failures.value == failures + 1
 
 
-def _serve_cli_env():
+def run_serve_cli(artifact, *args):
+    """Run ``m3d-serve --model artifact --port 0 *args`` to completion."""
     src_dir = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{src_dir}{os.pathsep}{env.get('PYTHONPATH', '')}"
-    return env
+    return subprocess.run(
+        [
+            sys.executable, "-m", "m3d_fault_loc.cli.serve",
+            "--model", str(artifact), "--port", "0", *args,
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
 
 
 @pytest.mark.parametrize("kind", ["short_b1", "missing_b3"])
 def test_serve_cli_refuses_malformed_model(tmp_path, kind):
     artifact = malformed_model(kind).save(tmp_path / "bad.npz")
-    proc = subprocess.run(
-        [sys.executable, "-m", "m3d_fault_loc.cli.serve", "--model", str(artifact), "--port", "0"],
-        capture_output=True,
-        text=True,
-        env=_serve_cli_env(),
-        timeout=60,
-    )
+    proc = run_serve_cli(artifact)
     assert proc.returncode == 2
     assert "model error: " in proc.stderr
     assert f"'{MALFORMED_PARAM_KEYS[kind]}'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_serve_cli_accepts_only_one_worker(tmp_path):
+    artifact = base_model().save(tmp_path / "model.npz")
+    proc = run_serve_cli(artifact, "--workers", "2")
+    assert proc.returncode == 2
+    assert "--workers: invalid choice" in proc.stderr
+    assert "serving on" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--request-timeout-s", "0"),
+        ("--request-timeout-s", "-1"),
+        ("--drain-deadline-s", "0"),
+        ("--drain-deadline-s", "-1"),
+        ("--max-batch", "0"),
+        ("--max-queue", "0"),
+        ("--cache-size", "0"),
+        ("--max-body-bytes", "0"),
+    ],
+)
+def test_serve_cli_refuses_invalid_config(tmp_path, flag, value):
+    artifact = base_model().save(tmp_path / "model.npz")
+    proc = run_serve_cli(artifact, flag, value)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("config error: ")]
+    assert len(errors) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "serving on" not in proc.stdout
 
 
 def test_registry_retries_transient_io(tmp_path):
@@ -480,6 +603,69 @@ def test_drain_deadline_fails_leftovers_deterministically(graphs):
         assert isinstance(results["b"], ServiceDrainingError), (
             "the queued leftover fails with a structured drain error"
         )
+
+
+def test_drain_during_active_pointer_swap_is_clean(tmp_path, graphs):
+    """SIGTERM mid-reload: no half-loaded model served, no stranded future.
+
+    A writer thread flips the registry ACTIVE pointer in a tight loop while
+    clients localize and the service drains. Every future must resolve —
+    to a result carrying a *complete* model identity (name/version pair
+    that was actually published) or to a structured draining error — and
+    the service must end up draining with an empty pipeline.
+    """
+    registry = ModelRegistry(tmp_path / "registry")
+    v1 = registry.publish(DelayFaultLocalizer(hidden=4, seed=0))
+    v2 = registry.publish(DelayFaultLocalizer(hidden=4, seed=1), activate=False)
+    published = {(v1.name, v1.version), (v2.name, v2.version)}
+
+    service = LocalizationService(
+        registry=registry, watchdog_interval_s=0.03, drain_deadline_s=2.0
+    )
+    service.start()
+    stop_flipping = threading.Event()
+
+    def flip():
+        flip_to = [(v2.name, v2.version), (v1.name, v1.version)]
+        i = 0
+        while not stop_flipping.is_set():
+            name, version = flip_to[i % 2]
+            registry.activate(name, version)
+            i += 1
+
+    flipper = threading.Thread(target=flip, daemon=True)
+    flipper.start()
+
+    results: dict[int, object] = {}
+    threads = []
+    for i in range(24):
+        threads.append(
+            localize_in_thread(service, graphs[i % len(graphs)], results, i, timeout_s=5.0)
+        )
+        if i == 12:
+            service.begin_drain()  # SIGTERM lands mid-traffic, mid-swap
+
+    report = service.await_drain(2.0)
+    stop_flipping.set()
+    flipper.join(timeout=5.0)
+    for t in threads:
+        t.join(timeout=5.0)
+
+    assert len(results) == 24, "every request must resolve during drain"
+    for key, outcome in results.items():
+        if isinstance(outcome, Exception):
+            assert isinstance(outcome, (ServiceDrainingError, WorkerCrashedError)), (
+                key,
+                outcome,
+            )
+        else:
+            # Never a half-loaded identity: the (name, version) pair must be
+            # one that was actually published, never a mix of two swaps.
+            assert (outcome.model_name, outcome.model_version) in published
+    assert service.queue_depth() == 0
+    assert report["failed"] >= 0
+    assert service.health_snapshot()["status"] == "draining"
+    service.close()
 
 
 def test_healthz_reports_draining(graphs):

@@ -149,21 +149,20 @@ def test_concurrent_requests_are_micro_batched(graphs):
 
 def test_lone_miss_never_blocks_in_collect_batch(monkeypatch):
     service = make_service(max_batch=4)
-    shard = service._shards[0]
-    real_get = shard.queue.get
+    real_get = service._queue.get
 
     def non_blocking_get(block=True, timeout=None):
         assert not block, "_collect_batch waited for a partner"
         return real_get(block, timeout)
 
-    monkeypatch.setattr(shard.queue, "get", non_blocking_get)
+    monkeypatch.setattr(service._queue, "get", non_blocking_get)
     lone, *queued = (object() for _ in range(6))
-    assert service._collect_batch(shard, lone) == [lone]
+    assert service._collect_batch(lone) == [lone]
     for item in queued:
-        shard.queue.put(item)
+        service._queue.put(item)
     # Whatever is already queued rides along, capped at max_batch.
-    assert service._collect_batch(shard, lone) == [lone, *queued[:3]]
-    assert service._collect_batch(shard, lone) == [lone, queued[3], queued[4]]
+    assert service._collect_batch(lone) == [lone, *queued[:3]]
+    assert service._collect_batch(lone) == [lone, queued[3], queued[4]]
     service.close()
 
 
