@@ -12,6 +12,9 @@ mid-traffic, and asserts the acceptance criterion of the replica tier:
 - **recovery** — a replacement replica on the same port is readmitted by
   the half-open probe, health returns to ``ok``, and the restored replica
   serves traffic again (consistent hashing routes its keys home).
+- **lean router** — after serving every phase, the live ``m3d-route``
+  process maps no numpy or scipy shared object (read from
+  ``/proc/<pid>/maps``): the router holds sockets, a ring and counters.
 - **observability under chaos** — every process writes a ``--trace-log``;
   mid-chaos, ``m3d-obs stitch`` must still join the killed replica's hops
   into cross-process waterfalls (its flushed records survive the SIGKILL,
@@ -123,6 +126,15 @@ def _boot_replica(model: Path, port: int, trace_log: Path | None = None) -> subp
     if trace_log is not None:
         cmd += ["--trace-log", str(trace_log)]
     return _boot(cmd, marker="serving on http://")
+
+
+def _mapped_numeric_libraries(pid: int) -> list[str]:
+    """numpy/scipy shared objects mapped into the live process ``pid``."""
+    maps = Path(f"/proc/{pid}/maps").read_text()
+    return sorted({
+        line.split()[-1] for line in maps.splitlines()
+        if "_multiarray_umath" in line or "scipy" in line
+    })
 
 
 def _run_obs(args: list[str]) -> Any:
@@ -261,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
             if victim_key in restored_seen:
                 break
         _check(victim_key in restored_seen, "restored replica serves traffic again")
+
+        numeric = _mapped_numeric_libraries(router.pid)
+        _check(not numeric, f"live router process maps no numpy/scipy: {numeric}")
 
         # Graceful drain cascade: SIGTERM the router; it must exit cleanly.
         router.send_signal(signal.SIGTERM)

@@ -17,25 +17,3 @@ are exposed through the ``m3dlint`` CLI (:mod:`m3d_fault_loc.analysis.cli`).
 Findings can be acknowledged in place with ``# m3dlint: disable=...``
 pragmas (:mod:`m3d_fault_loc.analysis.suppress`).
 """
-
-from m3d_fault_loc.analysis.engine import (
-    GraphRule,
-    RuleConfig,
-    RuleEngine,
-    RuleRegistry,
-    default_engine,
-)
-from m3d_fault_loc.analysis.suppress import apply_suppressions, parse_pragmas
-from m3d_fault_loc.analysis.violations import Severity, Violation
-
-__all__ = [
-    "GraphRule",
-    "RuleConfig",
-    "RuleEngine",
-    "RuleRegistry",
-    "Severity",
-    "Violation",
-    "apply_suppressions",
-    "default_engine",
-    "parse_pragmas",
-]

@@ -3,9 +3,6 @@
 These rules target silent-failure patterns specific to GNN training/serving
 code rather than general style (which ruff covers):
 
-- **M3D201** mixed device targets inside one function,
-- **M3D202** inference entry points running the model without
-  ``torch.no_grad()``/``torch.inference_mode()``,
 - **M3D203** ad-hoc global seeding outside the blessed
   :mod:`m3d_fault_loc.utils.seed` utility,
 - **M3D204** bare ``except:`` handlers (escalated to ERROR inside training
@@ -51,9 +48,6 @@ from m3d_fault_loc.analysis.violations import Severity, Violation
 #: Module basenames allowed to call global seeding primitives directly.
 BLESSED_SEED_MODULES = ("seed.py",)
 
-#: Function-name fragments that mark an inference entry point.
-INFERENCE_NAME_HINTS = ("predict", "infer", "inference", "evaluate", "eval_step", "score")
-
 #: Global-seeding call targets banned outside the blessed seed utility.
 SEEDING_CALLS = {
     ("random", "seed"),
@@ -97,115 +91,6 @@ def _dotted_name(node: ast.AST) -> tuple[str, ...]:
         parts.append(node.id)
         return tuple(reversed(parts))
     return ()
-
-
-def _imports_torch(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "torch" for a in node.names):
-            return True
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "torch":
-            return True
-    return False
-
-
-class MixedDeviceTransferRule(CodeRule):
-    """Tensor transfers inside one function must agree on a device family —
-    mixing ``.to("cuda")`` with ``.cpu()`` in one code path is the classic
-    source of cross-device matmul crashes that only fire on GPU hosts."""
-
-    id = "M3D201"
-    severity = Severity.ERROR
-    description = "no mixed .to(device)/.cuda()/.cpu() targets within a function"
-
-    def check(self, tree: ast.Module, path: Path) -> list[Violation]:
-        findings: list[Violation] = []
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            devices: dict[str, int] = {}  # device family -> first line seen
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-                    continue
-                family: str | None = None
-                if node.func.attr == "cuda" and not node.args:
-                    family = "cuda"
-                elif node.func.attr == "cpu" and not node.args:
-                    family = "cpu"
-                elif node.func.attr == "to" and node.args:
-                    arg = node.args[0]
-                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                        family = arg.value.split(":")[0].lower()
-                if family and family not in devices:
-                    devices[family] = node.lineno
-            if len(devices) > 1:
-                listing = ", ".join(f"{d} (line {ln})" for d, ln in sorted(devices.items()))
-                findings.append(
-                    self.violation(
-                        f"function '{fn.name}' moves tensors to multiple devices: {listing}",
-                        path,
-                        fn.lineno,
-                    )
-                )
-        return findings
-
-
-class MissingNoGradRule(CodeRule):
-    """Inference entry points must run the model under ``torch.no_grad()``
-    (or ``inference_mode``) — otherwise autograd silently builds graphs and
-    serving memory grows without bound."""
-
-    id = "M3D202"
-    severity = Severity.ERROR
-    description = "inference entry points must disable autograd"
-
-    def check(self, tree: ast.Module, path: Path) -> list[Violation]:
-        if not _imports_torch(tree):
-            return []
-        findings: list[Violation] = []
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = fn.name.lower()
-            if not any(hint in name for hint in INFERENCE_NAME_HINTS):
-                continue
-            if self._decorated_no_grad(fn) or not self._calls_model(fn):
-                continue
-            if not self._has_no_grad_block(fn):
-                findings.append(
-                    self.violation(
-                        f"inference entry point '{fn.name}' runs the model without "
-                        "torch.no_grad()/torch.inference_mode()",
-                        path,
-                        fn.lineno,
-                    )
-                )
-        return findings
-
-    @staticmethod
-    def _is_no_grad_expr(node: ast.AST) -> bool:
-        target = node.func if isinstance(node, ast.Call) else node
-        return _dotted_name(target)[-1:] in (("no_grad",), ("inference_mode",))
-
-    def _decorated_no_grad(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-        return any(self._is_no_grad_expr(d) for d in fn.decorator_list)
-
-    def _has_no_grad_block(self, fn: ast.AST) -> bool:
-        return any(
-            isinstance(node, (ast.With, ast.AsyncWith))
-            and any(self._is_no_grad_expr(item.context_expr) for item in node.items)
-            for node in ast.walk(fn)
-        )
-
-    @staticmethod
-    def _calls_model(fn: ast.AST) -> bool:
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted_name(node.func)
-            last = dotted[-1] if dotted else ""
-            if last == "forward" or "model" in last:
-                return True
-        return False
 
 
 class AdHocSeedingRule(CodeRule):
@@ -859,8 +744,6 @@ class WallClockDurationRule(CodeRule):
 
 #: Full built-in catalog, in rule-id order.
 BUILTIN_CODE_RULES: tuple[type[CodeRule], ...] = (
-    MixedDeviceTransferRule,
-    MissingNoGradRule,
     AdHocSeedingRule,
     BareExceptRule,
     UnboundedModuleCacheRule,

@@ -31,7 +31,7 @@ import threading
 from pathlib import Path
 from types import FrameType
 
-from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer, ModelArtifactError
 from m3d_fault_loc.obs.logging import configure_json_logging
 from m3d_fault_loc.obs.trace import JsonlTraceExporter, Tracer
 from m3d_fault_loc.serve.registry import ModelRegistry, ModelRegistryError
@@ -154,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     except ModelRegistryError as exc:
         print(f"registry error: {exc}", file=sys.stderr)
+        return 2
+    except ModelArtifactError as exc:  # the registry's active artifact
+        print(f"model error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,12 +1,1 @@
 """Dataset generation and contract-gated loading."""
-
-from m3d_fault_loc.data.dataset import CircuitGraphDataset, GraphContractError, gate_graph
-from m3d_fault_loc.data.synthetic import random_netlist, synthesize_fault_dataset
-
-__all__ = [
-    "CircuitGraphDataset",
-    "GraphContractError",
-    "gate_graph",
-    "random_netlist",
-    "synthesize_fault_dataset",
-]

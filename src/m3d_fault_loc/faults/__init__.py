@@ -1,5 +1,1 @@
 """Delay-fault injection."""
-
-from m3d_fault_loc.faults.injector import DelayFault, inject_delay_fault, make_fault_sample
-
-__all__ = ["DelayFault", "inject_delay_fault", "make_fault_sample"]

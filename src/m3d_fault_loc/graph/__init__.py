@@ -1,27 +1,1 @@
 """Netlist, timing, and circuit-graph construction."""
-
-from m3d_fault_loc.graph.builder import build_circuit_graph
-from m3d_fault_loc.graph.netlist import Gate, Netlist
-from m3d_fault_loc.graph.schema import (
-    EDGE_FEATURE_COLUMNS,
-    EDGE_MIV,
-    EDGE_NET,
-    FEATURE_COLUMNS,
-    NODE_DTYPE,
-    CircuitGraph,
-)
-from m3d_fault_loc.graph.timing import TimingResult, compute_timing
-
-__all__ = [
-    "EDGE_FEATURE_COLUMNS",
-    "EDGE_MIV",
-    "EDGE_NET",
-    "FEATURE_COLUMNS",
-    "NODE_DTYPE",
-    "CircuitGraph",
-    "Gate",
-    "Netlist",
-    "TimingResult",
-    "build_circuit_graph",
-    "compute_timing",
-]

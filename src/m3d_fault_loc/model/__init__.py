@@ -1,6 +1,1 @@
 """Fault-localization model."""
-
-from m3d_fault_loc.model.localizer import DelayFaultLocalizer
-from m3d_fault_loc.model.optim import Adam
-
-__all__ = ["Adam", "DelayFaultLocalizer"]

@@ -26,6 +26,10 @@ from m3d_fault_loc.model.aggregate import AggregationOperatorCache
 from m3d_fault_loc.obs.profile import phase
 
 
+class ModelArtifactError(ValueError):
+    """A model artifact that :meth:`DelayFaultLocalizer.load` refuses."""
+
+
 class TrainingExample(NamedTuple):
     """One labelled graph with its topology work done once per training run.
 
@@ -239,9 +243,9 @@ class DelayFaultLocalizer:
         Every key is checked before it is copied into :attr:`flat`: it must
         be present, have exactly the shape ``__in_dim``/``__hidden`` imply,
         and hold finite floating-point values. Any failure raises
-        ``ValueError`` naming the key, so a malformed artifact is refused at
-        load instead of broadcasting into the weights or failing every
-        forward.
+        :class:`ModelArtifactError` naming the key, so a malformed artifact
+        is refused at load instead of broadcasting into the weights or
+        failing every forward.
         """
         with np.load(path) as payload:
             model = cls(
@@ -250,20 +254,20 @@ class DelayFaultLocalizer:
             )
             for key, view in model.params.items():
                 if key not in payload.files:
-                    raise ValueError(f"model artifact {path}: missing parameter {key!r}")
+                    raise ModelArtifactError(f"model artifact {path}: missing parameter {key!r}")
                 arr = payload[key]
                 if arr.shape != view.shape:
-                    raise ValueError(
+                    raise ModelArtifactError(
                         f"model artifact {path}: parameter {key!r} has shape {arr.shape}, "
                         f"expected {view.shape}"
                     )
                 if not np.issubdtype(arr.dtype, np.floating):
-                    raise ValueError(
+                    raise ModelArtifactError(
                         f"model artifact {path}: parameter {key!r} has dtype {arr.dtype}, "
                         "expected floating point"
                     )
                 if not np.all(np.isfinite(arr)):
-                    raise ValueError(
+                    raise ModelArtifactError(
                         f"model artifact {path}: parameter {key!r} has non-finite values"
                     )
                 view[...] = arr
@@ -285,10 +289,10 @@ class DelayFaultLocalizer:
 def _artifact_dim(payload: Any, key: str, path: str | Path) -> int:
     """A positive integer scalar dimension from a loaded artifact."""
     if key not in payload.files:
-        raise ValueError(f"model artifact {path}: missing {key!r}")
+        raise ModelArtifactError(f"model artifact {path}: missing {key!r}")
     arr = payload[key]
     if arr.shape != () or not np.issubdtype(arr.dtype, np.integer) or int(arr) < 1:
-        raise ValueError(
+        raise ModelArtifactError(
             f"model artifact {path}: {key!r} must be a positive integer scalar, got {arr!r}"
         )
     return int(arr)

@@ -13,43 +13,3 @@ Layers, bottom up:
   and evaluation plus the percentile summarizers behind ``m3d-obs``.
 - :mod:`m3d_fault_loc.obs.cli` — the ``m3d-obs`` summarizer CLI.
 """
-
-from m3d_fault_loc.obs.context import (
-    current_trace_id,
-    new_trace_id,
-    sanitize_trace_id,
-    trace_context,
-)
-from m3d_fault_loc.obs.logging import (
-    JSONLineFormatter,
-    StructuredLogger,
-    configure_json_logging,
-    get_logger,
-)
-from m3d_fault_loc.obs.telemetry import (
-    TelemetryWriter,
-    percentile,
-    read_jsonl,
-    summarize_traces,
-    summarize_training,
-)
-from m3d_fault_loc.obs.trace import NULL_TRACER, JsonlTraceExporter, Tracer
-
-__all__ = [
-    "NULL_TRACER",
-    "JSONLineFormatter",
-    "JsonlTraceExporter",
-    "StructuredLogger",
-    "TelemetryWriter",
-    "Tracer",
-    "configure_json_logging",
-    "current_trace_id",
-    "get_logger",
-    "new_trace_id",
-    "percentile",
-    "read_jsonl",
-    "sanitize_trace_id",
-    "summarize_traces",
-    "summarize_training",
-    "trace_context",
-]

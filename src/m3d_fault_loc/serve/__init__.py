@@ -22,39 +22,3 @@ Layers, bottom up:
 - :mod:`m3d_fault_loc.serve.server` — stdlib ``http.server`` JSON API
   (``POST /localize``, ``GET /healthz``, ``GET /metrics``, ``GET /model``).
 """
-
-from m3d_fault_loc.serve.cache import LRUResultCache, graph_digest
-from m3d_fault_loc.serve.metrics import MetricsRegistry
-from m3d_fault_loc.serve.registry import ModelManifest, ModelRegistry, ModelRegistryError
-from m3d_fault_loc.serve.resilience import (
-    CircuitBreaker,
-    CircuitOpenError,
-    Deadline,
-    DeadlineExceededError,
-    HealthMonitor,
-    LoadSheddedError,
-    ServiceDrainingError,
-    WorkerCrashedError,
-)
-from m3d_fault_loc.serve.service import LocalizationResult, LocalizationService
-from m3d_fault_loc.serve.server import create_server
-
-__all__ = [
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "Deadline",
-    "DeadlineExceededError",
-    "HealthMonitor",
-    "LRUResultCache",
-    "LoadSheddedError",
-    "LocalizationResult",
-    "LocalizationService",
-    "MetricsRegistry",
-    "ModelManifest",
-    "ModelRegistry",
-    "ModelRegistryError",
-    "ServiceDrainingError",
-    "WorkerCrashedError",
-    "create_server",
-    "graph_digest",
-]

@@ -5,27 +5,3 @@ injection and lock-order sanitizing are first-class capabilities of the
 serving stack, and downstream deployments can reuse the same shims to
 rehearse their own failure drills.
 """
-
-from m3d_fault_loc.testing.chaos import (
-    CrashOnNthBatchModel,
-    FlakyIO,
-    SlowBatchModel,
-    WorkerKilled,
-    corrupt_artifact,
-)
-from m3d_fault_loc.testing.racecheck import (
-    LockOrderSanitizer,
-    RaceReport,
-    instrumented,
-)
-
-__all__ = [
-    "CrashOnNthBatchModel",
-    "FlakyIO",
-    "LockOrderSanitizer",
-    "RaceReport",
-    "SlowBatchModel",
-    "WorkerKilled",
-    "corrupt_artifact",
-    "instrumented",
-]

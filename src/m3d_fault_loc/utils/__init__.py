@@ -1,5 +1,1 @@
 """Shared utilities."""
-
-from m3d_fault_loc.utils.seed import seed_everything
-
-__all__ = ["seed_everything"]

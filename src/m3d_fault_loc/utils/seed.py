@@ -16,22 +16,14 @@ import numpy as np
 def seed_everything(seed: int) -> np.random.Generator:
     """Seed every RNG the stack can touch and return a fresh numpy Generator.
 
-    Seeds the ``random`` module, numpy's legacy global RNG, ``PYTHONHASHSEED``,
-    and — when torch is importable — torch's CPU and CUDA RNGs. The returned
-    ``np.random.Generator`` is the preferred source of randomness for new
-    code; the global seeding exists for third-party code paths.
+    Seeds the ``random`` module, numpy's legacy global RNG and
+    ``PYTHONHASHSEED``. The returned ``np.random.Generator`` is the
+    preferred source of randomness for new code; the global seeding exists
+    for third-party code paths.
     """
     if not 0 <= seed < 2**32:
         raise ValueError(f"seed must be in [0, 2**32), got {seed}")
     os.environ["PYTHONHASHSEED"] = str(seed)
     random.seed(seed)
     np.random.seed(seed)
-    try:  # torch is optional in this environment; seed it when present.
-        import torch
-
-        torch.manual_seed(seed)
-        if torch.cuda.is_available():
-            torch.cuda.manual_seed_all(seed)
-    except ImportError:
-        pass
     return np.random.default_rng(seed)

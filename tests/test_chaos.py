@@ -18,7 +18,9 @@ Every acceptance behavior of the resilience layer is driven by a shim from
   deterministically (also mid hot reload), and SIGTERM drives the whole
   sequence end-to-end;
 - the serve CLI refuses an invalid config with one ``config error:`` line
-  and exit 2, never a traceback or a server that fails every request.
+  and a malformed artifact (``--model`` or the ``--registry``'s active
+  version) with one ``model error:`` line, exit 2, never a traceback or a
+  server that fails every request.
 """
 
 import http.client
@@ -484,15 +486,15 @@ def test_malformed_hot_reload_target_keeps_old_model_serving(tmp_path, graphs, k
         assert service.m_reload_failures.value == failures + 1
 
 
-def run_serve_cli(artifact, *args):
-    """Run ``m3d-serve --model artifact --port 0 *args`` to completion."""
+def run_serve_cli(*args):
+    """Run ``m3d-serve --port 0 *args`` to completion."""
     src_dir = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{src_dir}{os.pathsep}{env.get('PYTHONPATH', '')}"
     return subprocess.run(
         [
-            sys.executable, "-m", "m3d_fault_loc.cli.serve",
-            "--model", str(artifact), "--port", "0", *args,
+            sys.executable, "-m", "m3d_fault_loc.cli.serve", "--port", "0",
+            *map(str, args),
         ],
         capture_output=True,
         text=True,
@@ -504,16 +506,29 @@ def run_serve_cli(artifact, *args):
 @pytest.mark.parametrize("kind", ["short_b1", "missing_b3"])
 def test_serve_cli_refuses_malformed_model(tmp_path, kind):
     artifact = malformed_model(kind).save(tmp_path / "bad.npz")
-    proc = run_serve_cli(artifact)
+    proc = run_serve_cli("--model", artifact)
     assert proc.returncode == 2
     assert "model error: " in proc.stderr
     assert f"'{MALFORMED_PARAM_KEYS[kind]}'" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
+def test_serve_cli_refuses_malformed_registry_model(tmp_path):
+    """The same artifact is a ``model error`` whether it comes from
+    ``--model`` or as the ``--registry``'s active version."""
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(malformed_model("short_b1"))
+    proc = run_serve_cli("--registry", registry.root)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("model error: ")]
+    assert len(errors) == 1 and "'b1'" in errors[0], proc.stderr
+    assert "config error" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_serve_cli_accepts_only_one_worker(tmp_path):
     artifact = base_model().save(tmp_path / "model.npz")
-    proc = run_serve_cli(artifact, "--workers", "2")
+    proc = run_serve_cli("--model", artifact, "--workers", "2")
     assert proc.returncode == 2
     assert "--workers: invalid choice" in proc.stderr
     assert "serving on" not in proc.stdout
@@ -534,7 +549,7 @@ def test_serve_cli_accepts_only_one_worker(tmp_path):
 )
 def test_serve_cli_refuses_invalid_config(tmp_path, flag, value):
     artifact = base_model().save(tmp_path / "model.npz")
-    proc = run_serve_cli(artifact, flag, value)
+    proc = run_serve_cli("--model", artifact, flag, value)
     assert proc.returncode == 2
     errors = [line for line in proc.stderr.splitlines() if line.startswith("config error: ")]
     assert len(errors) == 1, proc.stderr

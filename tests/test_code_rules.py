@@ -12,66 +12,6 @@ def fired(source: str, path: Path = FAKE):
     return {v.rule_id for v in lint_source(source, path)}
 
 
-# -- M3D201 mixed device targets ------------------------------------------
-
-
-def test_mixed_to_device_literals_flagged():
-    src = (
-        "def forward_pass(x, w):\n"
-        "    x = x.to('cuda')\n"
-        "    w = w.to('cpu')\n"
-        "    return x @ w\n"
-    )
-    assert "M3D201" in fired(src)
-
-
-def test_mixed_cuda_cpu_methods_flagged():
-    src = "def move(t, u):\n    return t.cuda() @ u.cpu()\n"
-    assert "M3D201" in fired(src)
-
-
-def test_consistent_device_not_flagged():
-    src = "def move(t, u):\n    return t.to('cuda:0') + u.to('cuda:1')\n"
-    assert "M3D201" not in fired(src)
-
-
-# -- M3D202 missing no_grad ------------------------------------------------
-
-
-def test_inference_without_no_grad_flagged():
-    src = (
-        "import torch\n"
-        "def predict(model, x):\n"
-        "    return model(x)\n"
-    )
-    assert "M3D202" in fired(src)
-
-
-def test_inference_with_no_grad_block_clean():
-    src = (
-        "import torch\n"
-        "def predict(model, x):\n"
-        "    with torch.no_grad():\n"
-        "        return model(x)\n"
-    )
-    assert "M3D202" not in fired(src)
-
-
-def test_inference_with_decorator_clean():
-    src = (
-        "import torch\n"
-        "@torch.no_grad()\n"
-        "def evaluate(model, x):\n"
-        "    return model.forward(x)\n"
-    )
-    assert "M3D202" not in fired(src)
-
-
-def test_no_torch_import_means_rule_inactive():
-    src = "def predict(model, x):\n    return model(x)\n"
-    assert "M3D202" not in fired(src)
-
-
 # -- M3D203 ad-hoc seeding -------------------------------------------------
 
 

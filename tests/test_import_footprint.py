@@ -1,0 +1,76 @@
+"""Each process imports only what it runs.
+
+``m3d-route`` holds sockets, a hash ring and counters; ``m3d-obs`` reads
+JSONL and scrapes HTTP. Neither needs numpy, scipy or the model stack, and
+loading them costs every such process ~22 MiB and ~250 ms. Package
+``__init__`` modules stay docstring-only so importing a submodule never
+drags its siblings in; ``scenarios`` is the one exception, because its
+``__init__`` registers the built-in scenarios.
+
+Each check runs in a fresh interpreter: the test process itself has long
+since imported everything.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+PACKAGE_DIR = SRC_DIR / "m3d_fault_loc"
+
+#: Top-level modules and package subtrees the lightweight entry points must not load.
+HEAVY = (
+    "numpy",
+    "scipy",
+    "m3d_fault_loc.model",
+    "m3d_fault_loc.analysis",
+    "m3d_fault_loc.scenarios",
+    "m3d_fault_loc.data",
+    "m3d_fault_loc.graph",
+    "m3d_fault_loc.faults",
+)
+
+
+def fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter with ``src/`` on the path; return stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{SRC_DIR}{os.pathsep}{env.get('PYTHONPATH', '')}"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("entry", ["m3d_fault_loc.cli.route", "m3d_fault_loc.obs.cli"])
+def test_entry_module_loads_no_numpy_scipy_or_model_stack(entry):
+    loaded = json.loads(
+        fresh_python(f"import json, sys, {entry}; print(json.dumps(sorted(sys.modules)))")
+    )
+    heavy = [m for m in loaded if any(m == h or m.startswith(h + ".") for h in HEAVY)]
+    assert heavy == [], f"importing {entry} loaded {heavy}"
+
+
+def package_names() -> list[str]:
+    return sorted(
+        ".".join(init.parent.relative_to(SRC_DIR).parts)
+        for init in PACKAGE_DIR.rglob("__init__.py")
+        if init.parent.name != "scenarios"
+    )
+
+
+@pytest.mark.parametrize("package", package_names())
+def test_package_init_binds_no_public_names(package):
+    public = json.loads(
+        fresh_python(
+            f"import json, {package} as p; "
+            "print(json.dumps(sorted(n for n in vars(p) if not n.startswith('_'))))"
+        )
+    )
+    assert public == [], f"{package}/__init__.py binds {public}; import from the submodule"

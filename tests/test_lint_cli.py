@@ -83,7 +83,7 @@ def test_code_subcommand_flags_footguns(tmp_path, capsys):
 def test_rules_subcommand_lists_catalog(capsys):
     assert main(["rules", "--format", "json"]) == EXIT_CLEAN
     catalog = {r["id"] for r in json.loads(capsys.readouterr().out)}
-    assert {"M3D101", "M3D106", "M3D201", "M3D204"} <= catalog
+    assert {"M3D101", "M3D106", "M3D204"} <= catalog
 
 
 def test_concurrency_subcommand_is_clean_on_own_source(capsys):
