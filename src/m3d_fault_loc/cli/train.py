@@ -24,6 +24,7 @@ tracemalloc allocation peaks) to the same stream.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import nullcontext
@@ -81,7 +82,8 @@ def train(
 
     A NaN/inf loss raises :class:`NonFiniteLossError` immediately — a model
     trained past that point is garbage, and saving it would poison every
-    downstream registry/serving step. ``clip_norm`` (optional) clips each
+    downstream registry/serving step. Parameters left non-finite by the last
+    step raise it too. ``clip_norm`` (optional) clips each
     accumulated minibatch gradient to that global L2 norm before the
     optimizer step. ``telemetry`` (optional) receives one ``epoch`` event
     per epoch: mean loss, max pre-clip gradient norm, lr, wall time —
@@ -92,9 +94,11 @@ def train(
     model = DelayFaultLocalizer(hidden=hidden, seed=seed)
     optimizer = Adam(model.flat, lr=lr)
     # One flat gradient buffer; ``grads`` are its per-parameter views, which
-    # clipping and the telemetry norm read exactly as they read a dict.
+    # clipping and the telemetry norm read exactly as they read a dict. Each
+    # graph's gradient lands in ``scratch``, laid out the same way.
     grad_flat = np.zeros_like(model.flat)
     grads = model.views(grad_flat)
+    scratch = np.empty_like(model.flat)
     # Built the first time epoch 0 reaches each graph, inside data_gen.
     examples: list[TrainingExample | None] = [None] * len(dataset)
     with profiler if profiler is not None else nullcontext():
@@ -111,14 +115,14 @@ def train(
                         example = examples[i]
                         if example is None:
                             example = examples[i] = model.example(dataset[i])
-                    loss, g = model.loss_and_grads(example)
-                    if not np.isfinite(loss):
+                    loss, _ = model.loss_and_grads(example, out=scratch)
+                    if not math.isfinite(loss):
                         raise NonFiniteLossError(
                             f"non-finite loss {loss!r} at epoch {epoch}, graph index {i} "
                             f"({dataset[i].name}); lower --lr or pass --clip-norm"
                         )
                     total_loss += loss
-                    grad_flat += np.concatenate([g[k].ravel() for k in grads]) / len(batch)
+                    grad_flat += scratch / len(batch)
                 with phase("optimizer_step"):
                     if clip_norm is not None:
                         norm = clip_by_global_norm(grads, clip_norm)
@@ -149,7 +153,28 @@ def train(
             if profiler is not None and telemetry is not None:
                 for name, row in profiler.drain().items():
                     telemetry.emit("profile", epoch=epoch, phase=name, **row)
+    # The loss guard only sees a step's result at the next graph; the last
+    # step has no next graph.
+    if not np.isfinite(model.flat).all():
+        raise NonFiniteLossError(
+            f"non-finite parameters after the last optimizer step (lr {lr!r}); "
+            "lower --lr or pass --clip-norm"
+        )
     return model
+
+
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return n
+
+
+def _positive_finite(value: str) -> float:
+    f = float(value)
+    if not (math.isfinite(f) and f > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return f
 
 
 def _fraction(value: str) -> float:
@@ -162,16 +187,16 @@ def _fraction(value: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n-graphs", type=int, default=200)
-    parser.add_argument("--n-gates", type=int, default=40)
-    parser.add_argument("--n-inputs", type=int, default=6)
-    parser.add_argument("--num-tiers", type=int, default=2)
-    parser.add_argument("--epochs", type=int, default=30)
-    parser.add_argument("--batch-size", type=int, default=8)
-    parser.add_argument("--lr", type=float, default=1e-2)
-    parser.add_argument("--clip-norm", type=float, default=None,
+    parser.add_argument("--n-graphs", type=_positive_int, default=200)
+    parser.add_argument("--n-gates", type=_positive_int, default=40)
+    parser.add_argument("--n-inputs", type=_positive_int, default=6)
+    parser.add_argument("--num-tiers", type=_positive_int, default=2)
+    parser.add_argument("--epochs", type=_positive_int, default=30)
+    parser.add_argument("--batch-size", type=_positive_int, default=8)
+    parser.add_argument("--lr", type=_positive_finite, default=1e-2)
+    parser.add_argument("--clip-norm", type=_positive_finite, default=None,
                         help="clip accumulated gradients to this global L2 norm")
-    parser.add_argument("--hidden", type=int, default=32)
+    parser.add_argument("--hidden", type=_positive_int, default=32)
     parser.add_argument("--test-fraction", type=_fraction, default=0.2)
     parser.add_argument("--scenario", choices=scenario_names(), default=DEFAULT_SCENARIO,
                         help="fault scenario whose generator synthesizes the dataset")

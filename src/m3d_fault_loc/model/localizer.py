@@ -9,17 +9,34 @@ The environment this repo targets does not ship torch, so forward *and*
 backward passes are written out explicitly over scipy sparse aggregation
 matrices; the layer structure mirrors the NetConv/MLP idiom used by timing
 GNNs so a torch_geometric port stays mechanical.
+
+Each SAGE layer is one linear map of its concatenated input, as in
+standard SAGE and NetConv (``cat([h, m @ h])`` into one ``Linear``). With
+``d`` the layer's input width and ``h`` the hidden width, the flat parameter
+vector stores ``W1s, W1n, b1 | W2s, W2n, b2 | w3, b3`` back to back, so
+each layer's weights are one ``(2d + 1, h)`` view ``theta = [Ws; Wn; b]``
+and the layer is ``a = [h_in | m @ h_in | 1] @ theta``: one GEMM applies
+the self weights, the neighbour weights and the bias. The backward writes
+``z.T @ da``, the whole layer's weight gradient, straight into the matching
+slice of a flat gradient buffer. The head is the ``(h + 1, 1)`` view
+``[w3; b3]``. Past a few hundred rows the forward product runs in row blocks
+so BLAS keeps it on one thread (:func:`_single_thread_matmul`); each row is
+the same floats either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import threading
+import zipfile
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.npyio import NpzFile
 
 from m3d_fault_loc.graph.schema import FEATURE_COLUMNS, CircuitGraph
 from m3d_fault_loc.model.aggregate import AggregationOperatorCache
@@ -83,12 +100,19 @@ class DelayFaultLocalizer:
             "w3": (h, 1),
             "b3": (1,),
         }
-        self.flat = np.zeros(sum(int(np.prod(shape)) for shape in self.shapes.values()))
+        self.flat = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()))
         self.params: dict[str, np.ndarray] = self.views(self.flat)
         # Weights are drawn in name order; biases start at zero.
         for key, shape in self.shapes.items():
             if len(shape) == 2:
                 self.params[key][...] = glorot(*shape)
+
+        self._theta = self._layer_views(self.flat)
+        # Per-thread layer-input buffers (see _layer_inputs).
+        self._buffers = threading.local()
+        # (buffer, layer views, per-key views) of the last gradient buffer
+        # loss_and_grads wrote: train() passes the same one for every graph.
+        self._grad_views: tuple[Any, ...] | None = None
 
         #: Per-graph CSR operator cache shared by every forward entry point,
         #: keyed by topology: every observation of a warm netlist skips the
@@ -101,10 +125,23 @@ class DelayFaultLocalizer:
         out: dict[str, np.ndarray] = {}
         start = 0
         for key, shape in self.shapes.items():
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             out[key] = flat[start : start + size].reshape(shape)
             start += size
         return out
+
+    def _layer_views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-layer views of a vector laid out like :attr:`flat`: the first
+        and second SAGE layers' ``theta`` (``(2d + 1, h)`` and ``(2h + 1, h)``)
+        and the ``(h + 1, 1)`` head."""
+        d, h = self.in_dim, self.hidden
+        end1 = (2 * d + 1) * h
+        end2 = end1 + (2 * h + 1) * h
+        return (
+            flat[:end1].reshape(2 * d + 1, h),
+            flat[end1:end2].reshape(2 * h + 1, h),
+            flat[end2:].reshape(h + 1, 1),
+        )
 
     # -- forward ----------------------------------------------------------
 
@@ -133,7 +170,7 @@ class DelayFaultLocalizer:
         if len(graphs) == 1:
             return [self.node_scores(graphs[0])]
         sizes = [g.num_nodes for g in graphs]
-        x = np.concatenate([np.asarray(g.x, dtype=np.float64) for g in graphs], axis=0)
+        x = np.concatenate([g.x for g in graphs], axis=0)
         m = self.agg_cache.batch_operator(graphs)
         logits, _ = self._forward_arrays(x, m)
         return [part.copy() for part in np.split(logits, np.cumsum(sizes)[:-1])]
@@ -143,25 +180,45 @@ class DelayFaultLocalizer:
         return [int(np.argmax(scores)) for scores in self.node_scores_batch(graphs)]
 
     def _forward(self, graph: CircuitGraph):
-        x = np.asarray(graph.x, dtype=np.float64)
-        m = self.agg_cache.get_or_build(graph)
-        return self._forward_arrays(x, m)
+        return self._forward_arrays(graph.x, self.agg_cache.get_or_build(graph))
+
+    def _layer_inputs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's ``(n, 2d + 1)`` and ``(n, 2h + 1)`` layer inputs, bias
+        columns already 1; valid until the thread's next forward.
+
+        Reused rather than allocated per forward: a 480-gate graph's ``z2``
+        (492 x 65 float64, 250 KiB) is over glibc's 128 KiB mmap threshold, and a fresh one
+        cost ~120 minor page faults per forward, doubling its time. A buffer
+        is kept while it has ``n`` to ``2n`` rows, so one huge graph does
+        not pin its size for the life of the thread.
+        """
+        bufs = self._buffers
+        z1 = getattr(bufs, "z1", None)
+        if z1 is None or not n <= len(z1) <= 2 * n:
+            bufs.z1 = z1 = np.empty((n, 2 * self.in_dim + 1))
+            bufs.z2 = np.empty((n, 2 * self.hidden + 1))
+            z1[:, -1] = bufs.z2[:, -1] = 1.0
+        return z1[:n], bufs.z2[:n]
 
     def _forward_arrays(self, x: np.ndarray, m: sp.csr_matrix):
-        p = self.params
-        mx = m @ x
-        a1 = x @ p["W1s"] + mx @ p["W1n"] + p["b1"]
-        h1 = np.maximum(a1, 0.0)
-        mh1 = m @ h1
-        a2 = h1 @ p["W2s"] + mh1 @ p["W2n"] + p["b2"]
+        """Logits for features ``x`` (any float dtype, read as float64) over
+        operator ``m``, plus what the backward needs."""
+        theta1, theta2, head = self._theta
+        d, h = self.in_dim, self.hidden
+        z1, z2 = self._layer_inputs(x.shape[0])
+        z1[:, :d] = x
+        z1[:, d:-1] = m @ z1[:, :d]
+        a1 = _single_thread_matmul(z1, theta1)
+        h1 = np.maximum(a1, 0.0, out=z2[:, :h])
+        z2[:, h:-1] = m @ h1
+        a2 = _single_thread_matmul(z2, theta2)
         h2 = np.maximum(a2, 0.0)
         # The head is an (N, h) @ (h, 1) product; BLAS picks N-dependent gemv
         # strategies whose last-ulp rounding would break the exact
         # single-vs-batch parity promised by node_scores_batch. einsum keeps
         # a fixed per-row accumulation order regardless of N.
-        logits = (np.einsum("nh,ho->no", h2, p["w3"]) + p["b3"]).ravel()
-        cache = (x, m, mx, a1, h1, mh1, a2, h2)
-        return logits, cache
+        logits = (np.einsum("nh,ho->no", h2, head[:-1]) + head[-1]).ravel()
+        return logits, (z1, a1, z2, a2, h2)
 
     # -- training ---------------------------------------------------------
 
@@ -172,46 +229,48 @@ class DelayFaultLocalizer:
         m = self.agg_cache.get_or_build(graph)
         return TrainingExample(graph.x, m, m.T, graph.fault_index)
 
-    def loss_and_grads(self, graph: CircuitGraph | TrainingExample):
+    def loss_and_grads(
+        self, graph: CircuitGraph | TrainingExample, out: np.ndarray | None = None
+    ) -> tuple[float, dict[str, np.ndarray]]:
         """Cross-entropy of the per-graph softmax against the fault label.
 
         Takes a graph or its prepared :meth:`example` (the training loop
         builds each example once per run). Returns ``(loss, grads)`` with
-        grads keyed like :attr:`params`.
+        grads keyed like :attr:`params`: views of ``out``, a float64 vector
+        laid out like :attr:`flat` that is overwritten, or of a fresh one.
         """
         ex = graph if isinstance(graph, TrainingExample) else self.example(graph)
-        p = self.params
+        if out is None:
+            out = np.empty_like(self.flat)
         # The phase() brackets are free when no profiler is active (shared
         # null context manager), so they live here unconditionally.
         with phase("forward"):
-            logits, (x, m, mx, a1, h1, mh1, a2, h2) = self._forward_arrays(
-                np.asarray(ex.x, dtype=np.float64), ex.m
-            )
+            logits, (z1, a1, z2, a2, h2) = self._forward_arrays(ex.x, ex.m)
 
         with phase("backward"):
-            z = logits - logits.max()
-            expz = np.exp(z)
-            probs = expz / expz.sum()
-            loss = -float(np.log(max(probs[ex.fault_index], 1e-12)))
-
-            dz = probs.copy()
+            dz = logits - logits.max()
+            np.exp(dz, out=dz)
+            dz /= dz.sum()
+            loss = -float(np.log(max(dz[ex.fault_index], 1e-12)))
             dz[ex.fault_index] -= 1.0
-            dz = dz.reshape(-1, 1)  # (N, 1)
 
-            grads: dict[str, np.ndarray] = {}
-            grads["w3"] = h2.T @ dz
-            grads["b3"] = dz.sum(axis=0)
-            dh2 = dz @ p["w3"].T
-            da2 = dh2 * (a2 > 0)
-            grads["W2s"] = h1.T @ da2
-            grads["W2n"] = mh1.T @ da2
-            grads["b2"] = da2.sum(axis=0)
-            dh1 = da2 @ p["W2s"].T + ex.mt @ (da2 @ p["W2n"].T)
-            da1 = dh1 * (a1 > 0)
-            grads["W1s"] = x.T @ da1
-            grads["W1n"] = mx.T @ da1
-            grads["b1"] = da1.sum(axis=0)
-        return loss, grads
+            _, theta2, head = self._theta
+            if self._grad_views is None or self._grad_views[0] is not out:
+                self._grad_views = (out, self._layer_views(out), self.views(out))
+            _, (g1, g2, g_head), grads = self._grad_views
+            h = self.hidden
+            np.matmul(h2.T, dz[:, None], out=g_head[:-1])
+            g_head[-1] = dz.sum()
+            da2 = dz[:, None] * head[:-1].T
+            da2 *= a2 > 0
+            np.matmul(z2.T, da2, out=g2)
+            # Back through [h1 | m @ h1]: the self block directly, the
+            # neighbour block through the operator's transpose.
+            dz2 = da2 @ theta2[:-1].T
+            da1 = dz2[:, :h] + ex.mt @ dz2[:, h:]
+            da1 *= a1 > 0
+            np.matmul(z1.T, da1, out=g1)
+        return loss, dict(grads)
 
     # -- persistence ------------------------------------------------------
 
@@ -245,9 +304,18 @@ class DelayFaultLocalizer:
         and hold finite floating-point values. Any failure raises
         :class:`ModelArtifactError` naming the key, so a malformed artifact
         is refused at load instead of broadcasting into the weights or
-        failing every forward.
+        failing every forward. A file ``np.load`` cannot read as an ``.npz``
+        archive (truncated, not a zip, a bare ``.npy``) raises it too.
         """
-        with np.load(path) as payload:
+        try:
+            payload = np.load(path)
+        except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+            raise ModelArtifactError(
+                f"model artifact {path}: not a readable .npz model artifact"
+            ) from exc
+        if not isinstance(payload, NpzFile):
+            raise ModelArtifactError(f"model artifact {path}: not a readable .npz model artifact")
+        with payload:
             model = cls(
                 in_dim=_artifact_dim(payload, "__in_dim", path),
                 hidden=_artifact_dim(payload, "__hidden", path),
@@ -284,6 +352,27 @@ class DelayFaultLocalizer:
             digest.update(key.encode())
             digest.update(arr.tobytes())
         return digest.hexdigest()
+
+
+#: Largest M*N*K of one forward GEMM. OpenBLAS hands a product to a second
+#: thread once M*N*K passes ~1e6 (measured: (480, 65) @ (65, 32) stays on one
+#: thread, (492, 65) @ (65, 32) does not). A 480-gate graph's second layer is
+#: (492, 65) @ (65, 32), and on a 2-core host serving requests the hand-off
+#: took ~8 ms per forward instead of ~0.2 ms.
+_GEMM_MNK_LIMIT = 500_000
+
+
+def _single_thread_matmul(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``z @ theta`` in row blocks small enough that BLAS keeps each on one
+    thread. Each row's dot products are the same in any block, so the result
+    is the same floats as one product."""
+    rows = max(1, _GEMM_MNK_LIMIT // (z.shape[1] * theta.shape[1]))
+    if len(z) <= rows:
+        return z @ theta
+    out = np.empty((len(z), theta.shape[1]))
+    for start in range(0, len(z), rows):
+        np.matmul(z[start : start + rows], theta, out=out[start : start + rows])
+    return out
 
 
 def _artifact_dim(payload: Any, key: str, path: str | Path) -> int:

@@ -8,8 +8,8 @@ import numpy as np
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training loss went NaN/inf — abort loudly instead of saving a
-    silently-corrupt checkpoint."""
+    """Training loss or parameters went NaN/inf — abort loudly instead of
+    saving a silently-corrupt checkpoint."""
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:

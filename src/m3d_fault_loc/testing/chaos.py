@@ -14,6 +14,9 @@ number of times — chaos tests must be reproducible, never probabilistic:
 - :func:`malformed_model` — a model whose saved artifact has an intact
   checksum but one broken parameter, so load-time validation (and a
   refused hot reload) can be exercised.
+- :class:`UnreadableArtifact` — a publishable stand-in whose saved file is
+  no ``.npz`` at all (a truncated zip, random bytes), so load-time reading
+  (and a refused hot reload) can be exercised.
 - :class:`FlakyIO` — a callable for ``ModelRegistry.io_fault_hook`` that
   raises for the first N I/O attempts, exercising retry-with-backoff.
 
@@ -201,6 +204,37 @@ def malformed_model(kind: str, hidden: int = 8, seed: int = 0) -> DelayFaultLoca
         raise ValueError(f"unknown malformation: {kind!r}")
     model.params = params
     return model
+
+
+#: :class:`UnreadableArtifact` kinds.
+UNREADABLE_KINDS = ("truncated_zip", "random_bytes")
+
+
+class UnreadableArtifact:
+    """Stand-in for a model whose :meth:`save` writes a file ``np.load``
+    cannot read as an ``.npz``: a real artifact cut in half (it still starts
+    with the zip magic) or seeded random bytes of the same length.
+
+    ``ModelRegistry.publish`` accepts it, so the published checksum matches
+    the broken bytes and only reading the file can refuse it.
+    """
+
+    def __init__(self, kind: str, hidden: int = 8, seed: int = 0):
+        if kind not in UNREADABLE_KINDS:
+            raise ValueError(f"unknown unreadable artifact: {kind!r}")
+        self.kind = kind
+        self._model = DelayFaultLocalizer(hidden=hidden, seed=seed)
+        self.in_dim = self._model.in_dim
+        self.hidden = hidden
+
+    def save(self, path: str | Path, metadata: dict[str, Any] | None = None) -> Path:
+        path = self._model.save(path, metadata=metadata)
+        raw = path.read_bytes()
+        if self.kind == "truncated_zip":
+            path.write_bytes(raw[: len(raw) // 2])
+        else:
+            path.write_bytes(np.random.default_rng(0).bytes(len(raw)))
+        return path
 
 
 class FlakyIO:

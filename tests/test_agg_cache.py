@@ -94,18 +94,18 @@ def block_diag_oracle_scores(
     model: DelayFaultLocalizer, graphs: list[CircuitGraph]
 ) -> list[np.ndarray]:
     """Reference batch forward with no cache and no stacking shortcut: fresh
-    per-graph operators packed by ``sp.block_diag``, then the plain forward
-    written out term by term."""
+    per-graph operators packed by ``sp.block_diag``, then the fused forward
+    written out from the named parameters: each SAGE layer is one product
+    ``[h | m @ h | 1] @ [Ws; Wn; b]``."""
     sizes = [g.num_nodes for g in graphs]
     x = np.concatenate([g.x.astype(np.float64) for g in graphs], axis=0)
     m = sp.block_diag([build_in_neighbor_mean(g) for g in graphs], format="csr")
     p = model.params
-    mx = m @ x
-    a1 = x @ p["W1s"] + mx @ p["W1n"] + p["b1"]
-    h1 = np.maximum(a1, 0.0)
-    mh1 = m @ h1
-    a2 = h1 @ p["W2s"] + mh1 @ p["W2n"] + p["b2"]
-    h2 = np.maximum(a2, 0.0)
+    ones = np.ones((x.shape[0], 1))
+    theta1 = np.vstack([p["W1s"], p["W1n"], p["b1"]])
+    theta2 = np.vstack([p["W2s"], p["W2n"], p["b2"]])
+    h1 = np.maximum(np.hstack([x, m @ x, ones]) @ theta1, 0.0)
+    h2 = np.maximum(np.hstack([h1, m @ h1, ones]) @ theta2, 0.0)
     logits = (np.einsum("nh,ho->no", h2, p["w3"]) + p["b3"]).ravel()
     return [part.copy() for part in np.split(logits, np.cumsum(sizes)[:-1])]
 
@@ -123,6 +123,20 @@ def test_batch_scores_match_block_diag_oracle_exactly(graphs):
         assert len(optimized) == len(oracle) == len(batch)
         for got, want in zip(optimized, oracle, strict=True):
             assert np.array_equal(got, want)
+
+
+def test_row_blocked_forward_matches_block_diag_oracle_exactly():
+    """Graphs and batches past the forward's GEMM row block (240 rows at
+    hidden 32) are scored block by block; the floats are still the oracle's
+    single products, and a single graph still matches its batch."""
+    rng = np.random.default_rng(12)
+    big = synthesize_fault_dataset(rng, n_graphs=3, n_gates=300, n_inputs=6)
+    assert all(g.num_nodes > 240 for g in big)
+    model = DelayFaultLocalizer(hidden=32, seed=3)
+    batched = model.node_scores_batch(big)
+    for got, want, graph in zip(batched, block_diag_oracle_scores(model, big), big, strict=True):
+        assert np.array_equal(got, want)
+        assert np.array_equal(model.node_scores(graph), got)
 
 
 # -- collision safety -------------------------------------------------------

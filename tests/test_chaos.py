@@ -53,9 +53,11 @@ from m3d_fault_loc.serve.server import create_server
 from m3d_fault_loc.serve.service import LocalizationService
 from m3d_fault_loc.testing.chaos import (
     MALFORMED_PARAM_KEYS,
+    UNREADABLE_KINDS,
     CrashOnNthBatchModel,
     FlakyIO,
     SlowBatchModel,
+    UnreadableArtifact,
     corrupt_artifact,
     malformed_model,
 )
@@ -486,6 +488,21 @@ def test_malformed_hot_reload_target_keeps_old_model_serving(tmp_path, graphs, k
         assert service.m_reload_failures.value == failures + 1
 
 
+@pytest.mark.parametrize("kind", UNREADABLE_KINDS)
+def test_unreadable_hot_reload_target_keeps_old_model_serving(tmp_path, graphs, kind):
+    """The checksum matches the broken bytes; reading the file refuses it."""
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(DelayFaultLocalizer(hidden=8, seed=0))
+    with LocalizationService(registry=registry) as service:
+        assert service.localize(graphs[0]).model_version == "v0001"
+        failures = service.m_reload_failures.value
+
+        registry.publish(UnreadableArtifact(kind))  # activates v0002
+        result = service.localize(graphs[1])
+        assert result.model_version == "v0001", "an unreadable reload target must be refused"
+        assert service.m_reload_failures.value == failures + 1
+
+
 def run_serve_cli(*args):
     """Run ``m3d-serve --port 0 *args`` to completion."""
     src_dir = Path(__file__).resolve().parents[1] / "src"
@@ -510,6 +527,17 @@ def test_serve_cli_refuses_malformed_model(tmp_path, kind):
     assert proc.returncode == 2
     assert "model error: " in proc.stderr
     assert f"'{MALFORMED_PARAM_KEYS[kind]}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_KINDS)
+def test_serve_cli_refuses_a_model_file_that_is_not_an_npz(tmp_path, kind):
+    artifact = UnreadableArtifact(kind).save(tmp_path / "bad.npz")
+    proc = run_serve_cli("--model", artifact)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("model error: ")]
+    assert len(errors) == 1 and "not a readable .npz model artifact" in errors[0], proc.stderr
+    assert "pickled" not in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -7,8 +7,13 @@ from m3d_fault_loc.cli.train import localization_accuracy, train
 from m3d_fault_loc.data.dataset import CircuitGraphDataset
 from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.aggregate import build_in_neighbor_mean
-from m3d_fault_loc.model.localizer import DelayFaultLocalizer
-from m3d_fault_loc.testing.chaos import MALFORMED_PARAM_KEYS, malformed_model
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer, ModelArtifactError
+from m3d_fault_loc.testing.chaos import (
+    MALFORMED_PARAM_KEYS,
+    UNREADABLE_KINDS,
+    UnreadableArtifact,
+    malformed_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +185,76 @@ def test_example_gives_the_same_loss_and_grads_as_the_graph(graph):
         assert np.array_equal(grads[key], ex_grads[key], equal_nan=True), key
 
 
+# -- the fused layer math against the term-by-term formula -------------------
+
+#: Fixed before the forward and backward were fused into one ``[h | m@h | 1] @
+#: theta`` product per layer: the fused sums run in another order, so they
+#: match the term-by-term formula to float64 rounding, not bit for bit.
+FUSED_RTOL = 1e-12
+FUSED_ATOL = 1e-14
+
+
+def term_by_term_loss_and_grads(model, graph):
+    """The localizer's forward and backward with every weight block as its own
+    product, on a freshly built operator: the reference the fused layers are
+    held to. Returns ``(logits, loss, grads)``."""
+    p = model.params
+    x = np.asarray(graph.x, dtype=np.float64)
+    m = build_in_neighbor_mean(graph)
+    mx = m @ x
+    a1 = x @ p["W1s"] + mx @ p["W1n"] + p["b1"]
+    h1 = np.maximum(a1, 0.0)
+    mh1 = m @ h1
+    a2 = h1 @ p["W2s"] + mh1 @ p["W2n"] + p["b2"]
+    h2 = np.maximum(a2, 0.0)
+    logits = (np.einsum("nh,ho->no", h2, p["w3"]) + p["b3"]).ravel()
+
+    z = logits - logits.max()
+    probs = np.exp(z) / np.exp(z).sum()
+    loss = -float(np.log(max(probs[graph.fault_index], 1e-12)))
+    dz = probs.copy()
+    dz[graph.fault_index] -= 1.0
+    dz = dz.reshape(-1, 1)
+    grads = {"w3": h2.T @ dz, "b3": dz.sum(axis=0)}
+    da2 = (dz @ p["w3"].T) * (a2 > 0)
+    grads["W2s"] = h1.T @ da2
+    grads["W2n"] = mh1.T @ da2
+    grads["b2"] = da2.sum(axis=0)
+    dh1 = da2 @ p["W2s"].T + m.T @ (da2 @ p["W2n"].T)
+    da1 = dh1 * (a1 > 0)
+    grads["W1s"] = x.T @ da1
+    grads["W1n"] = mx.T @ da1
+    grads["b1"] = da1.sum(axis=0)
+    return logits, loss, grads
+
+
+def _assert_matches_term_by_term(model, graph):
+    logits, loss, grads = term_by_term_loss_and_grads(model, graph)
+    np.testing.assert_allclose(
+        model.node_scores(graph), logits, rtol=FUSED_RTOL, atol=FUSED_ATOL
+    )
+    got_loss, got_grads = model.loss_and_grads(graph)
+    np.testing.assert_allclose(got_loss, loss, rtol=FUSED_RTOL, atol=FUSED_ATOL)
+    assert got_grads.keys() == model.params.keys()
+    for key, want in grads.items():
+        assert got_grads[key].shape == model.params[key].shape, key
+        np.testing.assert_allclose(
+            got_grads[key], want, rtol=FUSED_RTOL, atol=FUSED_ATOL, err_msg=key
+        )
+
+
+@pytest.mark.parametrize("graph", _fixture_graphs(), ids=lambda g: g.name)
+def test_fused_layers_match_the_term_by_term_formula_on_fixture_graphs(graph):
+    _assert_matches_term_by_term(DelayFaultLocalizer(hidden=8, seed=2), graph)
+
+
+@pytest.mark.parametrize("hidden", [8, 32])
+def test_fused_layers_match_the_term_by_term_formula_on_synthetic_graphs(dataset, hidden):
+    model = DelayFaultLocalizer(hidden=hidden, seed=11)
+    for i in range(8):
+        _assert_matches_term_by_term(model, dataset[i])
+
+
 def test_example_holds_the_graph_features_and_a_transpose_view(dataset):
     model = DelayFaultLocalizer(hidden=8, seed=2)
     graph = dataset[0]
@@ -229,4 +304,23 @@ def test_load_rejects_bad_dimensions(tmp_path, dims):
     np.savez(path, **payload)
     (key,) = dims
     with pytest.raises(ValueError, match=key):
+        DelayFaultLocalizer.load(path)
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_KINDS)
+def test_load_rejects_a_file_that_is_not_an_npz(tmp_path, kind):
+    path = UnreadableArtifact(kind).save(tmp_path / "bad.npz")
+    with pytest.raises(ModelArtifactError, match="not a readable .npz model artifact"):
+        DelayFaultLocalizer.load(path)
+
+
+@pytest.mark.parametrize("payload", ["empty", "npy"])
+def test_load_rejects_an_empty_file_and_a_bare_npy(tmp_path, payload):
+    path = tmp_path / "bad.npz"
+    if payload == "empty":
+        path.write_bytes(b"")
+    else:
+        with path.open("wb") as fh:
+            np.save(fh, np.zeros(3))
+    with pytest.raises(ModelArtifactError, match="not a readable .npz model artifact"):
         DelayFaultLocalizer.load(path)

@@ -1,5 +1,7 @@
 """Training-stability helpers: gradient clipping and the non-finite-loss guard."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -60,9 +62,10 @@ def test_clip_rejects_non_positive_max_norm():
 
 
 def test_train_aborts_on_nan_loss_with_context(monkeypatch):
-    def nan_loss(self, graph):
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        return float("nan"), grads
+    def nan_loss(self, graph, out=None):
+        out = np.zeros_like(self.flat) if out is None else out
+        out.fill(0.0)
+        return float("nan"), self.views(out)
 
     monkeypatch.setattr(DelayFaultLocalizer, "loss_and_grads", nan_loss)
     dataset = tiny_dataset()
@@ -73,9 +76,10 @@ def test_train_aborts_on_nan_loss_with_context(monkeypatch):
 
 
 def test_train_cli_exits_nonzero_on_nan_loss(tmp_path, monkeypatch, capsys):
-    def inf_loss(self, graph):
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        return float("inf"), grads
+    def inf_loss(self, graph, out=None):
+        out = np.zeros_like(self.flat) if out is None else out
+        out.fill(0.0)
+        return float("inf"), self.views(out)
 
     monkeypatch.setattr(DelayFaultLocalizer, "loss_and_grads", inf_loss)
     out = tmp_path / "model.npz"
@@ -97,3 +101,62 @@ def test_train_cli_accepts_clip_norm_end_to_end(tmp_path, capsys):
     assert rc == 0
     assert out.exists()
     assert "held-out localization accuracy" in capsys.readouterr().out
+
+
+# -- non-finite parameters and invalid arguments never reach disk -----------
+
+
+def test_train_aborts_when_the_last_step_leaves_non_finite_params():
+    """One minibatch and one epoch: no later loss sees the poisoned step."""
+    dataset = tiny_dataset(n_graphs=4)
+    with pytest.raises(NonFiniteLossError, match="non-finite parameters"):
+        train_cli.train(
+            dataset, np.random.default_rng(0), epochs=1, batch_size=8, hidden=8,
+            lr=float("nan"), log=None,
+        )
+
+
+def test_train_cli_never_saves_non_finite_params(tmp_path, monkeypatch, capsys):
+    def poison(self, grads):
+        self.params.fill(np.nan)
+
+    monkeypatch.setattr(train_cli.Adam, "step", poison)
+    out = tmp_path / "model.npz"
+    log = tmp_path / "train.jsonl"
+    rc = train_cli.main(
+        ["--n-graphs", "8", "--n-gates", "10", "--epochs", "1", "--batch-size", "8",
+         "--hidden", "8", "--out", str(out), "--metrics-log", str(log)]
+    )
+    assert rc == 1
+    assert "non-finite parameters" in capsys.readouterr().err
+    assert not out.exists(), "a poisoned model must never reach disk"
+    events = [json.loads(line)["event"] for line in log.read_text().splitlines()]
+    assert events[-1] == "aborted"
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [
+        ("--n-graphs", "0"),
+        ("--n-gates", "0"),
+        ("--n-inputs", "0"),
+        ("--num-tiers", "0"),
+        ("--epochs", "-1"),
+        ("--batch-size", "0"),
+        ("--batch-size", "-1"),
+        ("--hidden", "0"),
+        ("--lr", "nan"),
+        ("--lr", "0"),
+        ("--lr", "inf"),
+        ("--clip-norm", "-1"),
+        ("--clip-norm", "nan"),
+    ],
+)
+def test_train_cli_refuses_bad_arguments(tmp_path, capsys, flag, value):
+    out = tmp_path / "model.npz"
+    with pytest.raises(SystemExit) as exc_info:
+        train_cli.main(["--n-graphs", "8", "--epochs", "1", "--out", str(out), flag, value])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+    assert not out.exists()
