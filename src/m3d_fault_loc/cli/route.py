@@ -29,18 +29,11 @@ connection.
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
-import threading
-from pathlib import Path
-from types import FrameType
 
-from m3d_fault_loc.obs.logging import configure_json_logging
-from m3d_fault_loc.obs.trace import JsonlTraceExporter, Tracer
-from m3d_fault_loc.serve.resilience import ExponentialBackoff
+from m3d_fault_loc.cli.process import add_process_flags, configure_process, serve_until_drained
 from m3d_fault_loc.serve.router import (
     ReplicaRouter,
-    RouterHTTPServer,
     RouterPolicy,
     create_router_server,
     parse_replica_spec,
@@ -51,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--replica", action="append", required=True, metavar="HOST:PORT",
                         help="backend m3d-serve address (repeat per replica)")
-    parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8360,
                         help="TCP port (0 binds an ephemeral port)")
     parser.add_argument("--attempt-timeout-s", type=float, default=30.0,
@@ -68,104 +60,37 @@ def build_parser() -> argparse.ArgumentParser:
                         help="socket timeout per health probe")
     parser.add_argument("--default-deadline-s", type=float, default=30.0,
                         help="deadline for requests without X-M3D-Deadline-Ms")
-    parser.add_argument("--drain-deadline-s", type=float, default=10.0,
-                        help="graceful-shutdown drain budget on SIGTERM/SIGINT")
-    parser.add_argument("--log-level", default="info",
-                        choices=("debug", "info", "warning", "error"),
-                        help="structured-log threshold (JSON lines on stderr)")
-    parser.add_argument("--trace-log", type=Path, default=None,
-                        help="append completed route traces to this JSONL file")
-    parser.add_argument("--slow-ms", type=float, default=None,
-                        help="routes slower than this land in the slow-trace ring")
-    parser.add_argument("--trace-capacity", type=int, default=256,
-                        help="completed route traces kept in memory")
+    add_process_flags(parser)
     return parser
-
-
-def build_tracer(args: argparse.Namespace) -> Tracer:
-    """Router-side tracer tagged for cross-process stitching."""
-    exporter = None if args.trace_log is None else JsonlTraceExporter(args.trace_log)
-    slow_s = None if args.slow_ms is None else args.slow_ms / 1e3
-    return Tracer(
-        capacity=args.trace_capacity,
-        exporter=exporter,
-        slow_threshold_s=slow_s,
-        tags={"process": "router"},
-    )
-
-
-def build_router(args: argparse.Namespace, tracer: Tracer | None = None) -> ReplicaRouter:
-    replicas = [parse_replica_spec(spec) for spec in args.replica]
-    policy = RouterPolicy(
-        attempt_timeout_s=args.attempt_timeout_s,
-        max_attempts=args.max_attempts,
-        eject_after=args.eject_after,
-        cooldown_s=args.cooldown_s,
-        probe_interval_s=args.probe_interval_s if args.probe_interval_s > 0 else None,
-        probe_timeout_s=args.probe_timeout_s,
-        backoff=ExponentialBackoff(base_s=0.02, max_s=0.5),
-        default_deadline_s=args.default_deadline_s,
-    )
-    return ReplicaRouter(replicas, policy=policy, tracer=tracer)
-
-
-def drain_and_stop(
-    server: RouterHTTPServer, router: ReplicaRouter, drain_deadline_s: float
-) -> None:
-    """Front half of the drain cascade: admission off, then in-flight out."""
-    router.begin_drain()
-    server.shutdown()
-    router.await_drain(drain_deadline_s)
-    router.close()
-
-
-def install_signal_handlers(
-    server: RouterHTTPServer, router: ReplicaRouter, drain_deadline_s: float
-) -> None:
-    """Route SIGTERM/SIGINT into one graceful drain (idempotent)."""
-    # m3dlint: disable=M3D303 reason=one-shot process-lifetime latch, installed once
-    triggered = threading.Event()
-
-    def handle(signum: int, frame: FrameType | None) -> None:
-        if triggered.is_set():
-            return
-        triggered.set()
-        print(f"received signal {signum}; draining...", flush=True)
-        threading.Thread(
-            target=drain_and_stop,
-            args=(server, router, drain_deadline_s),
-            name="m3d-route-drain",
-            daemon=True,
-        ).start()
-
-    signal.signal(signal.SIGTERM, handle)
-    signal.signal(signal.SIGINT, handle)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    configure_json_logging(stream=sys.stderr, level=args.log_level.upper())
-    tracer = build_tracer(args)
     try:
-        router = build_router(args, tracer=tracer)
+        tracer = configure_process(args, process="router")
+        policy = RouterPolicy(
+            attempt_timeout_s=args.attempt_timeout_s,
+            max_attempts=args.max_attempts,
+            eject_after=args.eject_after,
+            cooldown_s=args.cooldown_s,
+            probe_interval_s=args.probe_interval_s if args.probe_interval_s > 0 else None,
+            probe_timeout_s=args.probe_timeout_s,
+            default_deadline_s=args.default_deadline_s,
+        )
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        replicas = [parse_replica_spec(spec) for spec in args.replica]
+        router = ReplicaRouter(replicas, policy=policy, tracer=tracer)
     except ValueError as exc:
         print(f"bad replica spec: {exc}", file=sys.stderr)
         return 2
     server = create_router_server(router, host=args.host, port=args.port)
-    install_signal_handlers(server, router, args.drain_deadline_s)
-    print(f"replicas: {', '.join(r.key for r in router.replicas)}", flush=True)
-    print(f"routing on http://{args.host}:{server.port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        drain_and_stop(server, router, args.drain_deadline_s)
-    finally:
-        server.server_close()
-        router.close()
-        if tracer.exporter is not None:
-            tracer.exporter.close()
-    print("drained; exiting", flush=True)
-    return 0
+    return serve_until_drained(server, router, tracer, args.drain_deadline_s, [
+        f"replicas: {', '.join(r.key for r in router.replicas)}",
+        f"routing on http://{args.host}:{server.port}",
+    ])
 
 
 if __name__ == "__main__":

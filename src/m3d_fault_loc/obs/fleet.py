@@ -36,15 +36,30 @@ REQUESTS_METRIC = "m3d_requests_total"
 ERRORS_METRIC = "m3d_request_errors_total"
 
 
-def fetch_json(addr: str, path: str, timeout_s: float) -> Any | None:
-    """``GET http://addr{path}`` parsed as JSON; ``None`` on any failure."""
+def fleet_status(up: int, total: int) -> str:
+    """``ok`` / ``degraded-<up>-of-<total>`` / ``unhealthy``, or ``empty``
+    with no members — the one status vocabulary of the router and the fleet."""
+    if total == 0:
+        return "empty"
+    if up == 0:
+        return "unhealthy"
+    if up < total:
+        return f"degraded-{up}-of-{total}"
+    return "ok"
+
+
+def fetch_json(
+    addr: str, path: str, timeout_s: float, headers: dict[str, str] | None = None
+) -> Any | None:
+    """``GET http://addr{path}`` answered 200, parsed as JSON; ``None`` on
+    any failure."""
     host, _, port = addr.rpartition(":")
     try:
         conn = http.client.HTTPConnection(host, int(port), timeout=timeout_s)
     except (OSError, ValueError):
         return None
     try:
-        conn.request("GET", path)
+        conn.request("GET", path, headers=headers or {})
         response = conn.getresponse()
         body = response.read()
         if response.status != 200:
@@ -169,15 +184,7 @@ class FleetScraper:
         merged = self.merge_metrics(replicas)
 
         total = len(replicas)
-        down = sum(1 for r in replicas if not r["reachable"])
-        if total == 0:
-            status = "empty"
-        elif down == total:
-            status = "unhealthy"
-        elif down > 0:
-            status = f"degraded-{down}-of-{total}"
-        else:
-            status = "ok"
+        reachable = sum(1 for r in replicas if r["reachable"])
 
         router: dict[str, Any] | None = None
         if self.router_metrics_fn is not None:
@@ -189,8 +196,8 @@ class FleetScraper:
         snapshot = {
             "ts": round(time.time(), 6),
             "members": total,
-            "reachable": total - down,
-            "status": status,
+            "reachable": reachable,
+            "status": fleet_status(reachable, total),
             "replicas": replicas,
             "merged": merged,
             "router": router,

@@ -1,7 +1,8 @@
-"""One JSON HTTP handler base for every server in the stack.
+"""One HTTP server and handler base for every server in the stack.
 
 ``m3d-serve``, ``m3d-route`` and the chaos :class:`StubReplica` subclass
-:class:`JSONHandler` and keep only their routes. The base owns the rest:
+:class:`ThreadedHTTPServer` and :class:`JSONHandler` and keep only their
+routes. The handler base owns the rest:
 
 - the trace-id context around each request (a well-formed inbound
   ``X-M3D-Trace-Id`` is honored, anything else replaced), so spans, log
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from http.server import BaseHTTPRequestHandler
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from m3d_fault_loc.obs.context import current_trace_id, new_trace_id, sanitize_trace_id
@@ -132,6 +133,13 @@ class JSONHandler(BaseHTTPRequestHandler):
     ) -> None:
         self.send_bytes(status, json.dumps(payload).encode(), headers)
 
+    def send_health(self, health: Mapping[str, Any]) -> None:
+        """A health snapshot: 200 while serving, possibly at reduced capacity
+        (``ok``, ``degraded…``); 503 otherwise, so load balancers rotate
+        traffic away."""
+        status = str(health["status"])
+        self.send_json(200 if status == "ok" or status.startswith("degraded") else 503, health)
+
     def send_text(self, status: int, text: str, content_type: str) -> None:
         self.send_bytes(status, text.encode(), {"Content-Type": content_type})
 
@@ -151,3 +159,13 @@ class JSONHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+
+class ThreadedHTTPServer(ThreadingHTTPServer):
+    """A thread per connection; handler threads never block process exit."""
+
+    daemon_threads = True
+
+    @property
+    def port(self) -> int:
+        return int(self.server_address[1])

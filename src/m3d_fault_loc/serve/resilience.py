@@ -12,8 +12,8 @@ observable* instead of hanging callers or silently degrading:
   :class:`WorkerCrashedError`, :class:`ServiceDrainingError`) that the HTTP
   layer maps onto 504/429/503 responses with machine-readable bodies.
 - :class:`CircuitBreaker` — a half-open breaker that trips after
-  consecutive batch failures and lets a bounded number of probes through
-  before closing again.
+  consecutive failures and lets one trial through before closing again;
+  the service guards its batch worker with one, the router each replica.
 - :class:`HealthMonitor` — the ``ok -> degraded -> unhealthy`` state
   machine behind ``/healthz``, driven by worker restarts and recoveries.
 - :class:`ExponentialBackoff` / :func:`retry_with_backoff` — the retry
@@ -135,18 +135,51 @@ class ServiceDrainingError(ResilienceError):
         super().__init__(f"service is {phase}; request refused")
 
 
+# -- listened state machines -----------------------------------------------
+
+
+class _StateMachine:
+    """A lock-protected state whose transition listener runs outside the lock.
+
+    Subclasses change state only through :meth:`_transition` while holding
+    ``_lock``; it records each change into ``events``, and :meth:`_notify`
+    fires the listener after the lock is released — listener code must never
+    run under the machine's own lock (re-entrancy deadlock).
+    """
+
+    def __init__(self, initial: str, on_transition: Callable[[str, str], None] | None):
+        self._on_transition = on_transition
+        self._lock = threading.Lock()
+        self._state = initial
+
+    def set_transition_listener(self, listener: Callable[[str, str], None]) -> None:
+        """Install/replace the transition callback (e.g. a metrics hook)."""
+        self._on_transition = listener
+
+    def _transition(self, new_state: str, events: list[tuple[str, str]]) -> None:
+        old, self._state = self._state, new_state
+        if old != new_state:
+            events.append((old, new_state))
+
+    def _notify(self, events: list[tuple[str, str]]) -> None:
+        listener = self._on_transition
+        if listener is not None:
+            for old, new in events:
+                listener(old, new)
+
+
 # -- circuit breaker -------------------------------------------------------
 
 
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with a half-open probe state.
+class CircuitBreaker(_StateMachine):
+    """Consecutive-failure circuit breaker with a single half-open trial.
 
     States: ``closed`` (normal) → ``open`` after ``failure_threshold``
     consecutive failures (admission refused) → ``half_open`` once
-    ``reset_timeout_s`` has elapsed (up to ``half_open_probes`` requests are
-    let through) → ``closed`` on a probe success, or back to ``open`` on a
-    probe failure. All transitions are lock-protected and observable via
-    :meth:`snapshot` and the optional ``on_transition`` callback.
+    ``reset_timeout_s`` has elapsed (exactly one trial request is let
+    through) → ``closed`` on a success, or back to ``open`` on a failure.
+    All transitions are lock-protected and observable via :meth:`snapshot`
+    and the optional ``on_transition`` callback.
     """
 
     CLOSED = "closed"
@@ -158,42 +191,17 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         reset_timeout_s: float = 5.0,
-        half_open_probes: int = 1,
         on_transition: Callable[[str, str], None] | None = None,
     ):
         if failure_threshold < 1:
             raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
+        super().__init__(self.CLOSED, on_transition)
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
-        self.half_open_probes = half_open_probes
-        self._on_transition = on_transition
-        self._lock = threading.Lock()
-        self._state = self.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_in_flight = 0
+        self._trial_claimed = False
         self._trips = 0
-
-    def set_transition_listener(self, listener: Callable[[str, str], None]) -> None:
-        """Install/replace the transition callback (e.g. a metrics hook)."""
-        self._on_transition = listener
-
-    def _transition(self, new_state: str, events: list[tuple[str, str]]) -> None:
-        """Apply a state change under ``_lock``; the callback is deferred.
-
-        Transitions are recorded into ``events`` and fired by
-        :meth:`_notify` only after the lock is released — listener code must
-        never run under the breaker's own lock (re-entrancy deadlock).
-        """
-        old, self._state = self._state, new_state
-        if old != new_state:
-            events.append((old, new_state))
-
-    def _notify(self, events: list[tuple[str, str]]) -> None:
-        listener = self._on_transition
-        if listener is not None:
-            for old, new in events:
-                listener(old, new)
 
     @property
     def state(self) -> str:
@@ -208,7 +216,7 @@ class CircuitBreaker:
         if self._state == self.OPEN and (
             time.monotonic() - self._opened_at >= self.reset_timeout_s
         ):
-            self._probes_in_flight = 0  # m3dlint: disable=M3D301 reason=callers hold _lock
+            self._trial_claimed = False  # m3dlint: disable=M3D301 reason=callers hold _lock
             self._transition(self.HALF_OPEN, events)
 
     def allow(self) -> bool:
@@ -218,8 +226,8 @@ class CircuitBreaker:
             self._maybe_half_open(events)
             if self._state == self.CLOSED:
                 admitted = True
-            elif self._state == self.HALF_OPEN and self._probes_in_flight < self.half_open_probes:
-                self._probes_in_flight += 1
+            elif self._state == self.HALF_OPEN and not self._trial_claimed:
+                self._trial_claimed = True
                 admitted = True
             else:
                 admitted = False
@@ -270,7 +278,7 @@ class CircuitBreaker:
 # -- health state machine --------------------------------------------------
 
 
-class HealthMonitor:
+class HealthMonitor(_StateMachine):
     """``ok`` / ``degraded`` / ``unhealthy`` state machine for ``/healthz``.
 
     - a worker failure (crash or stall) moves ``ok -> degraded``;
@@ -292,35 +300,16 @@ class HealthMonitor:
     ):
         if unhealthy_after < 1:
             raise ValueError(f"unhealthy_after must be >= 1, got {unhealthy_after}")
+        super().__init__(self.OK, on_transition)
         self.unhealthy_after = unhealthy_after
-        self._on_transition = on_transition
-        self._lock = threading.Lock()
-        self._status = self.OK
         self._consecutive_failures = 0
         self._worker_restarts = 0
         self._last_failure: str | None = None
 
-    def _transition(self, new_status: str, events: list[tuple[str, str]]) -> None:
-        """Apply a status change under ``_lock``; the callback is deferred.
-
-        As in :class:`CircuitBreaker`, transitions accumulate in ``events``
-        and :meth:`_notify` fires the listener only after the lock is
-        released, so listener code never runs under the monitor's lock.
-        """
-        old, self._status = self._status, new_status
-        if old != new_status:
-            events.append((old, new_status))
-
-    def _notify(self, events: list[tuple[str, str]]) -> None:
-        listener = self._on_transition
-        if listener is not None:
-            for old, new in events:
-                listener(old, new)
-
     @property
     def status(self) -> str:
         with self._lock:
-            return self._status
+            return self._state
 
     def record_worker_failure(self, reason: str) -> None:
         events: list[tuple[str, str]] = []
@@ -338,14 +327,14 @@ class HealthMonitor:
         events: list[tuple[str, str]] = []
         with self._lock:
             self._consecutive_failures = 0
-            if self._status != self.OK:
+            if self._state != self.OK:
                 self._transition(self.OK, events)
         self._notify(events)
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             return {
-                "status": self._status,
+                "status": self._state,
                 "consecutive_worker_failures": self._consecutive_failures,
                 "worker_restarts": self._worker_restarts,
                 "last_failure": self._last_failure,

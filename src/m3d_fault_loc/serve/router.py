@@ -9,7 +9,8 @@ One process can only scale so far; the replica tier fronts N independent
   and aggregation-operator cache stay hot — and adding or removing a
   replica remaps only ~1/N of the keyspace. The ring's walk order doubles
   as the **failover preference list**.
-- **Health-aware ejection.** Each replica runs a small state machine:
+- **Health-aware ejection.** Each replica sits behind the service's
+  :class:`~m3d_fault_loc.serve.resilience.CircuitBreaker`:
   ``up`` → (``eject_after`` consecutive failures) → ``ejected`` for a
   cooldown → ``half-open`` (exactly one trial request or probe) → ``up``
   on success, re-ejected on failure. A background prober GETs each
@@ -43,21 +44,27 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import math
 import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlparse
 
 from m3d_fault_loc.obs.context import current_trace_id, new_trace_id
-from m3d_fault_loc.obs.fleet import FleetScraper
+from m3d_fault_loc.obs.fleet import FleetScraper, fetch_json, fleet_status
 from m3d_fault_loc.obs.logging import get_logger
+from m3d_fault_loc.obs.stitch import PROBE_TRACE_PREFIX
 from m3d_fault_loc.obs.trace import NULL_TRACER, Tracer
-from m3d_fault_loc.serve.http import TRACE_HEADER, JSONHandler
+from m3d_fault_loc.serve.http import TRACE_HEADER, JSONHandler, ThreadedHTTPServer
 from m3d_fault_loc.serve.metrics import MetricsRegistry
-from m3d_fault_loc.serve.resilience import Deadline, ExponentialBackoff, jittered
+from m3d_fault_loc.serve.resilience import (
+    CircuitBreaker,
+    Deadline,
+    ExponentialBackoff,
+    jittered,
+)
 
 log = get_logger(__name__)
 
@@ -81,11 +88,6 @@ _FAILOVER_STATUSES = frozenset({500, 502, 503})
 #: to replay on a sibling after an ambiguous post-send failure.
 _IDEMPOTENT_POSTS = frozenset({"/localize"})
 
-#: Trace-id prefix stamped on the background prober's synthetic requests so
-#: probe traffic is distinguishable from user traffic in replica trace logs
-#: and ``m3d-obs stitch`` output (which drops ``probe-…`` ids by default).
-PROBE_TRACE_PREFIX = "probe-"
-
 #: Request headers the router forwards downstream verbatim.
 _FORWARD_REQUEST_HEADERS = ("Content-Type", TRACE_HEADER)
 #: Replica response headers the router relays back to the client.
@@ -106,105 +108,73 @@ def parse_replica_spec(spec: str) -> tuple[str, int]:
     return host, port
 
 
+#: Public replica state for each state of its ejection breaker.
+_REPLICA_STATE = {
+    CircuitBreaker.CLOSED: REPLICA_UP,
+    CircuitBreaker.OPEN: REPLICA_EJECTED,
+    CircuitBreaker.HALF_OPEN: REPLICA_HALF_OPEN,
+}
+
+
 class Replica:
-    """One backend's identity plus its ejection state machine.
+    """One backend's identity and counters; ejection is a :class:`CircuitBreaker`.
 
-    Transitions (guarded by one lock, all O(1)):
-
-    - ``up`` --eject_after consecutive failures--> ``ejected``
-    - ``ejected`` --cooldown elapsed--> ``half-open`` (lazily, at the next
-      admission or probe decision)
-    - ``half-open`` --single trial succeeds--> ``up``; fails --> ``ejected``
-      with a fresh cooldown
-
-    ``admit()`` is the routing-side gate (claims the half-open trial slot);
-    the prober uses the same accounting so a probe and a live request never
-    both count as "the" trial.
+    ``eject_after`` consecutive failures open the breaker (``ejected``);
+    after ``cooldown_s`` it goes ``half-open`` and admits exactly one trial
+    — a live request or a probe, whichever claims it first — whose outcome
+    closes it (``up``) or re-ejects it with a fresh cooldown.
     """
 
-    STATES = (REPLICA_UP, REPLICA_EJECTED, REPLICA_HALF_OPEN)
-
     def __init__(self, host: str, port: int, eject_after: int = 3, cooldown_s: float = 2.0):
-        if eject_after < 1:
-            raise ValueError(f"eject_after must be >= 1, got {eject_after}")
         self.host = host
         self.port = port
         self.key = f"{host}:{port}"
-        self.eject_after = eject_after
         self.cooldown_s = cooldown_s
-        self._state = REPLICA_UP
-        self._failures = 0
-        self._ejected_until = 0.0
-        self._trial_claimed = False
+        self._breaker = CircuitBreaker(
+            failure_threshold=eject_after,
+            reset_timeout_s=cooldown_s,
+            on_transition=self._log_transition,
+        )
         self._lock = threading.Lock()
         self.requests = 0
         self.failures_total = 0
-        self.ejections = 0
 
-    def _roll_state(self, now: float) -> None:
-        # Cooldown expiry is evaluated lazily; every caller holds _lock.
-        if self._state == REPLICA_EJECTED and now >= self._ejected_until:
-            # m3dlint: disable=M3D301 reason=_locked helper, only called with _lock held
-            self._state = REPLICA_HALF_OPEN
-            # m3dlint: disable=M3D301 reason=_locked helper, only called with _lock held
-            self._trial_claimed = False
+    def _log_transition(self, old: str, new: str) -> None:
+        if new == CircuitBreaker.OPEN:
+            log.warning("replica_ejected", replica=self.key, cooldown_s=self.cooldown_s)
+        elif new == CircuitBreaker.CLOSED:
+            log.info("replica_readmitted", replica=self.key)
 
     @property
     def state(self) -> str:
-        with self._lock:
-            self._roll_state(time.monotonic())
-            return self._state
+        return _REPLICA_STATE[self._breaker.state]
 
     def admit(self) -> bool:
-        """May this replica take a request right now?
-
-        ``up`` always admits; ``half-open`` admits exactly one in-flight
-        trial (the claim is released by the success/failure that follows);
-        ``ejected`` admits nothing until the cooldown matures.
-        """
-        with self._lock:
-            self._roll_state(time.monotonic())
-            if self._state == REPLICA_UP:
-                return True
-            if self._state == REPLICA_HALF_OPEN and not self._trial_claimed:
-                self._trial_claimed = True
-                return True
-            return False
+        """May this replica take a request now? Claims the half-open trial."""
+        return self._breaker.allow()
 
     def record_success(self) -> None:
         with self._lock:
             self.requests += 1
-            self._failures = 0
-            self._trial_claimed = False
-            if self._state != REPLICA_UP:
-                log.info("replica_readmitted", replica=self.key)
-            self._state = REPLICA_UP
+        self._breaker.record_success()
 
     def record_failure(self) -> None:
         with self._lock:
             self.requests += 1
             self.failures_total += 1
-            self._failures += 1
-            self._trial_claimed = False
-            if self._state == REPLICA_HALF_OPEN or (
-                self._state == REPLICA_UP and self._failures >= self.eject_after
-            ):
-                self._state = REPLICA_EJECTED
-                self._ejected_until = time.monotonic() + self.cooldown_s
-                self._failures = 0
-                self.ejections += 1
-                log.warning("replica_ejected", replica=self.key, cooldown_s=self.cooldown_s)
+        self._breaker.record_failure()
 
     def snapshot(self) -> dict[str, Any]:
+        breaker = self._breaker.snapshot()
         with self._lock:
-            self._roll_state(time.monotonic())
-            return {
-                "replica": self.key,
-                "state": self._state,
-                "requests": self.requests,
-                "failures": self.failures_total,
-                "ejections": self.ejections,
-            }
+            requests, failures = self.requests, self.failures_total
+        return {
+            "replica": self.key,
+            "state": _REPLICA_STATE[breaker["state"]],
+            "requests": requests,
+            "failures": failures,
+            "ejections": breaker["trips"],
+        }
 
 
 class HashRing:
@@ -269,6 +239,23 @@ class RouterPolicy:
     )
     #: Default deadline for requests that carry none.
     default_deadline_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        positive = {
+            "attempt_timeout_s": self.attempt_timeout_s,
+            "probe_timeout_s": self.probe_timeout_s,
+            "default_deadline_s": self.default_deadline_s,
+        }
+        if self.probe_interval_s is not None:
+            positive["probe_interval_s"] = self.probe_interval_s
+        for name, value in positive.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
+        if not (math.isfinite(self.cooldown_s) and self.cooldown_s >= 0):
+            raise ValueError(f"cooldown_s must be a finite number >= 0, got {self.cooldown_s}")
+        for name, count in (("max_attempts", self.max_attempts), ("eject_after", self.eject_after)):
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
 
 
 @dataclass
@@ -396,38 +383,19 @@ class ReplicaRouter:
                 log.exception("probe_iteration_failed")
 
     def _probe(self, replica: Replica) -> bool:
-        conn = http.client.HTTPConnection(
-            replica.host, replica.port, timeout=self.policy.probe_timeout_s
-        )
-        try:
-            # A stable synthetic prefix keeps probe traffic distinguishable
-            # from user traffic in replica logs and stitch output.
-            probe_id = f"{PROBE_TRACE_PREFIX}{new_trace_id()}"
-            conn.request("GET", "/healthz", headers={TRACE_HEADER: probe_id})
-            response = conn.getresponse()
-            response.read()
-            # 200 covers ok *and* degraded: a degraded replica still serves.
-            return response.status == 200
-        except (OSError, http.client.HTTPException):
-            return False
-        finally:
-            conn.close()
+        # 200 covers ok *and* degraded: a degraded replica still serves. The
+        # probe- trace id keeps probe traffic out of user traces in replica
+        # logs and stitch output.
+        headers = {TRACE_HEADER: f"{PROBE_TRACE_PREFIX}{new_trace_id()}"}
+        health = fetch_json(replica.key, "/healthz", self.policy.probe_timeout_s, headers)
+        return health is not None
 
     def health_snapshot(self) -> dict[str, Any]:
         """Router-level health: ``ok`` / ``degraded-k-of-n`` / ``unhealthy``."""
         workers = [r.snapshot() for r in self.replicas]
         up = sum(1 for w in workers if w["state"] == REPLICA_UP)
-        n = len(workers)
-        if up == 0:
-            status = "unhealthy"
-        elif up < n:
-            status = f"degraded-{up}-of-{n}"
-        else:
-            status = "ok"
-        if self._draining:
-            status = "draining"
         return {
-            "status": status,
+            "status": "draining" if self._draining else fleet_status(up, len(workers)),
             "replicas": workers,
             "inflight": self.m_inflight.value,
             "draining": self._draining,
@@ -676,18 +644,12 @@ class ReplicaRouter:
         return json.dumps(payload).encode()
 
 
-class RouterHTTPServer(ThreadingHTTPServer):
+class RouterHTTPServer(ThreadedHTTPServer):
     """Threaded front for a :class:`ReplicaRouter`."""
-
-    daemon_threads = True
 
     def __init__(self, address: tuple[str, int], router: ReplicaRouter):
         super().__init__(address, _RouterHandler)
         self.router = router
-
-    @property
-    def port(self) -> int:
-        return int(self.server_address[1])
 
 
 class _RouterHandler(JSONHandler):
@@ -699,11 +661,7 @@ class _RouterHandler(JSONHandler):
         router = self.server.router
         path = urlparse(self.path).path
         if path == "/router/healthz":
-            health = router.health_snapshot()
-            status = 200 if health["status"] == "ok" or health["status"].startswith(
-                "degraded"
-            ) else 503
-            self.send_json(status, health)
+            self.send_health(router.health_snapshot())
             return
         if path == "/router/metrics":
             self.send_json(200, router.metrics.to_json_dict())

@@ -39,7 +39,6 @@ import json
 import math
 import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from http.server import ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
@@ -53,6 +52,7 @@ from m3d_fault_loc.serve.http import (
     BadRequest,
     ErrorResponse,
     JSONHandler,
+    ThreadedHTTPServer,
 )
 from m3d_fault_loc.serve.resilience import (
     CircuitOpenError,
@@ -76,15 +76,9 @@ DEFAULT_TOP_K = 5
 #: Longest deadline a worker thread can wait on (``threading.TIMEOUT_MAX``).
 MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1e3
 
-#: Health statuses that still answer 200 (serving, possibly at reduced
-#: capacity); anything else is 503 so load balancers rotate traffic away.
-_SERVING_STATUSES = ("ok", "degraded")
 
-
-class LocalizationHTTPServer(ThreadingHTTPServer):
+class LocalizationHTTPServer(ThreadedHTTPServer):
     """Threaded HTTP server that owns a running :class:`LocalizationService`."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -97,10 +91,6 @@ class LocalizationHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.service = service
         self.max_body_bytes = max_body_bytes
-
-    @property
-    def port(self) -> int:
-        return int(self.server_address[1])
 
 
 class _Handler(JSONHandler):
@@ -137,9 +127,7 @@ class _Handler(JSONHandler):
     def _handle_get(self) -> None:
         url = urlparse(self.path)
         if url.path == "/healthz":
-            health = self.server.service.health_snapshot()
-            status = 200 if health["status"] in _SERVING_STATUSES else 503
-            self.send_json(status, health)
+            self.send_health(self.server.service.health_snapshot())
         elif url.path == "/metrics":
             fmt = parse_qs(url.query).get("format", ["prometheus"])[0]
             if fmt == "json":

@@ -36,7 +36,6 @@ import socket
 import threading
 import time
 from collections.abc import Sequence
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -44,7 +43,7 @@ import numpy as np
 
 from m3d_fault_loc.graph.schema import CircuitGraph
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
-from m3d_fault_loc.serve.http import TRACE_HEADER, JSONHandler
+from m3d_fault_loc.serve.http import TRACE_HEADER, JSONHandler, ThreadedHTTPServer
 from m3d_fault_loc.serve.registry import ModelRegistry
 
 
@@ -297,7 +296,7 @@ class _StubReplicaHandler(JSONHandler):
         )
 
 
-class StubReplica(ThreadingHTTPServer):
+class StubReplica(ThreadedHTTPServer):
     """Programmable fake ``m3d-serve`` replica for router chaos tests.
 
     Healthy by default: answers ``/healthz`` with 200 and echoes everything
@@ -317,7 +316,6 @@ class StubReplica(ThreadingHTTPServer):
     stub can impersonate a real replica's instrument registry.
     """
 
-    daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, name: str = "stub", host: str = "127.0.0.1", hang_s: float = 5.0):
@@ -337,10 +335,6 @@ class StubReplica(ThreadingHTTPServer):
         self._thread: threading.Thread | None = None
 
     @property
-    def port(self) -> int:
-        return int(self.server_address[1])
-
-    @property
     def key(self) -> str:
         return f"{self.host}:{self.port}"
 
@@ -356,6 +350,7 @@ class StubReplica(ThreadingHTTPServer):
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
+            self._thread = None
 
     # -- scripting ---------------------------------------------------------
 
@@ -385,11 +380,7 @@ class StubReplica(ThreadingHTTPServer):
         """Refuse connections outright (connect-phase failure) until healed."""
         if not self.partitioned:
             self.partitioned = True
-            self.shutdown()
-            self.server_close()
-            if self._thread is not None:
-                self._thread.join(timeout=5.0)
-                self._thread = None
+            self.stop()
 
     def heal(self, port: int | None = None) -> None:
         """Rebind (same port by default) and resume serving."""

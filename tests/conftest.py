@@ -22,6 +22,7 @@ from m3d_fault_loc.testing import racecheck
 RACECHECK_MODULES = (
     "test_chaos",
     "test_concurrency_stress",
+    "test_obs_fleet",
     "test_router",
     "test_serve_http",
 )

@@ -57,6 +57,7 @@ from m3d_fault_loc.testing.chaos import (
     CrashOnNthBatchModel,
     FlakyIO,
     SlowBatchModel,
+    StubReplica,
     UnreadableArtifact,
     corrupt_artifact,
     malformed_model,
@@ -503,21 +504,54 @@ def test_unreadable_hot_reload_target_keeps_old_model_serving(tmp_path, graphs, 
         assert service.m_reload_failures.value == failures + 1
 
 
-def run_serve_cli(*args):
-    """Run ``m3d-serve --port 0 *args`` to completion."""
+def cli_env():
     src_dir = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{src_dir}{os.pathsep}{env.get('PYTHONPATH', '')}"
+    return env
+
+
+def run_cli(module, *args):
+    """Run ``python -m <module> --port 0 *args`` to completion."""
     return subprocess.run(
-        [
-            sys.executable, "-m", "m3d_fault_loc.cli.serve", "--port", "0",
-            *map(str, args),
-        ],
+        [sys.executable, "-m", module, "--port", "0", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(),
         timeout=60,
     )
+
+
+def run_serve_cli(*args):
+    return run_cli("m3d_fault_loc.cli.serve", *args)
+
+
+def spawn_cli(module, ready_prefix, *args):
+    """Start ``python -m <module> --port 0 *args``; return it and its bound
+    port, parsed from the ``<ready_prefix>host:port`` line on stdout."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", module, "--port", "0", *map(str, args)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.stdout is not None
+    for _ in range(20):
+        line = proc.stdout.readline()
+        if not line:
+            break
+        if line.startswith(ready_prefix):
+            return proc, int(line.rsplit(":", 1)[1])
+    proc.kill()
+    proc.wait(timeout=5)
+    raise AssertionError(f"{module} never printed {ready_prefix!r}")
+
+
+def stop_cli(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait(timeout=5)
 
 
 @pytest.mark.parametrize("kind", ["short_b1", "missing_b3"])
@@ -573,6 +607,7 @@ def test_serve_cli_accepts_only_one_worker(tmp_path):
         ("--max-queue", "0"),
         ("--cache-size", "0"),
         ("--max-body-bytes", "0"),
+        ("--trace-capacity", "0"),
     ],
 )
 def test_serve_cli_refuses_invalid_config(tmp_path, flag, value):
@@ -583,6 +618,43 @@ def test_serve_cli_refuses_invalid_config(tmp_path, flag, value):
     assert len(errors) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "serving on" not in proc.stdout
+
+
+def run_route_cli(*args):
+    return run_cli("m3d_fault_loc.cli.route", *args)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-attempts", "0"),
+        ("--attempt-timeout-s", "0"),
+        ("--probe-timeout-s", "0"),
+        ("--cooldown-s", "-1"),
+        ("--default-deadline-s", "-5"),
+        ("--eject-after", "0"),
+        ("--drain-deadline-s", "0"),
+        ("--trace-capacity", "0"),
+    ],
+)
+def test_route_cli_refuses_invalid_config(flag, value):
+    proc = run_route_cli("--replica", "127.0.0.1:9", flag, value)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("config error: ")]
+    assert len(errors) == 1, proc.stderr
+    assert "bad replica spec" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "routing on" not in proc.stdout
+
+
+@pytest.mark.parametrize("specs", [["no-port"], ["127.0.0.1:9", "127.0.0.1:9"]])
+def test_route_cli_refuses_bad_replica_spec(specs):
+    proc = run_route_cli(*(arg for spec in specs for arg in ("--replica", spec)))
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("bad replica spec: ")]
+    assert len(errors) == 1, proc.stderr
+    assert "config error" not in proc.stderr
+    assert "routing on" not in proc.stdout
 
 
 def test_registry_retries_transient_io(tmp_path):
@@ -735,54 +807,104 @@ def test_healthz_reports_draining(graphs):
 # -- SIGTERM end-to-end ----------------------------------------------------
 
 
+def assert_drained_on_sigterm(proc):
+    proc.send_signal(signal.SIGTERM)
+    rc = proc.wait(timeout=15)
+    assert rc == 0, "graceful shutdown must exit 0"
+    tail = proc.stdout.read()
+    assert "draining" in tail and "drained; exiting" in tail
+
+
+def post_localize(port, graph):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("POST", "/localize", body=json.dumps({"graph": graph.to_json_dict()}))
+        response = conn.getresponse()
+        response.read()
+        return response
+    finally:
+        conn.close()
+
+
 @pytest.mark.skipif(os.name != "posix", reason="POSIX signals required")
 def test_sigterm_drains_and_exits_zero(tmp_path, graphs):
     artifact = DelayFaultLocalizer(hidden=8, seed=3).save(tmp_path / "model.npz")
-    src_dir = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = f"{src_dir}{os.pathsep}{env.get('PYTHONPATH', '')}"
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "m3d_fault_loc.cli.serve",
-            "--model", str(artifact), "--port", "0",
-            "--drain-deadline-s", "5",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
+    proc, port = spawn_cli(
+        "m3d_fault_loc.cli.serve", "serving on http://",
+        "--model", artifact, "--drain-deadline-s", "5",
     )
     try:
-        port = None
-        assert proc.stdout is not None
-        for _ in range(20):
-            line = proc.stdout.readline()
-            if not line:
-                break
-            if line.startswith("serving on http://"):
-                port = int(line.rsplit(":", 1)[1])
-                break
-        assert port is not None, "server must print its ephemeral port"
-
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-        conn.request("POST", "/localize", body=json.dumps({"graph": graphs[0].to_json_dict()}))
-        assert conn.getresponse().status == 200
-        conn.close()
-
-        proc.send_signal(signal.SIGTERM)
-        rc = proc.wait(timeout=15)
-        assert rc == 0, "graceful shutdown must exit 0"
-        tail = proc.stdout.read()
-        assert "draining" in tail and "drained; exiting" in tail
+        assert post_localize(port, graphs[0]).status == 200
+        assert_drained_on_sigterm(proc)
 
         with pytest.raises(OSError):
             check = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
             check.request("GET", "/healthz")
             check.getresponse()
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=5)
+        stop_cli(proc)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX signals required")
+def test_router_sigterm_drains_and_exits_zero(tmp_path, graphs):
+    """The drain cascade's front half: the router drains and exits 0 while
+    the replica behind it keeps serving until its own SIGTERM."""
+    artifact = DelayFaultLocalizer(hidden=8, seed=3).save(tmp_path / "model.npz")
+    replica, replica_port = spawn_cli(
+        "m3d_fault_loc.cli.serve", "serving on http://", "--model", artifact
+    )
+    router = None
+    try:
+        router, router_port = spawn_cli(
+            "m3d_fault_loc.cli.route", "routing on http://",
+            "--replica", f"127.0.0.1:{replica_port}", "--drain-deadline-s", "5",
+        )
+        response = post_localize(router_port, graphs[0])
+        assert response.status == 200
+        assert response.getheader("X-M3D-Replica") == f"127.0.0.1:{replica_port}"
+        assert_drained_on_sigterm(router)
+
+        assert post_localize(replica_port, graphs[0]).status == 200
+        assert_drained_on_sigterm(replica)
+    finally:
+        stop_cli(replica)
+        if router is not None:
+            stop_cli(router)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX signals required")
+def test_router_sigterm_finishes_in_flight_request():
+    """A request in flight when SIGTERM lands is answered, not cut off:
+    the router exits only after its in-flight count reaches zero."""
+    stub = StubReplica("slow", hang_s=1.0).start()
+    stub.hang_next(1)
+    router = None
+    try:
+        router, router_port = spawn_cli(
+            "m3d_fault_loc.cli.route", "routing on http://",
+            "--replica", stub.key, "--probe-interval-s", "0", "--drain-deadline-s", "5",
+        )
+        result: dict[str, object] = {}
+
+        def call() -> None:
+            try:
+                conn = http.client.HTTPConnection("127.0.0.1", router_port, timeout=10)
+                conn.request("POST", "/localize", body=b'{"graph": "in-flight"}')
+                result["status"] = conn.getresponse().status
+                conn.close()
+            except OSError as exc:
+                result["error"] = repr(exc)
+
+        client = threading.Thread(target=call)
+        client.start()
+        assert wait_until(lambda: stub.served_count() >= 1), "request must reach the replica"
+        assert_drained_on_sigterm(router)
+        client.join(timeout=10)
+        assert result == {"status": 200}
+    finally:
+        if router is not None:
+            stop_cli(router)
+        stub.stop()
 
 
 # -- request-body bounds ---------------------------------------------------

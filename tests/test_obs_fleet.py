@@ -4,7 +4,7 @@ from typing import Any
 
 import pytest
 
-from m3d_fault_loc.obs.fleet import FleetScraper, _fraction_le, render_fleet_text
+from m3d_fault_loc.obs.fleet import FleetScraper, _fraction_le, fleet_status, render_fleet_text
 from m3d_fault_loc.serve.metrics import MetricsRegistry
 from m3d_fault_loc.testing.chaos import StubReplica
 
@@ -96,6 +96,33 @@ def test_scrape_reports_degraded_when_member_down(two_stubs):
     # merged view carries only the survivor's counters
     assert snapshot["merged"]["m3d_requests_total"]["value"] == 10
     assert "DOWN" in render_fleet_text(snapshot)
+
+
+def test_scrape_counts_members_up_of_three():
+    stubs = [StubReplica(name=name).start() for name in "abc"]
+    try:
+        scraper = FleetScraper(members=[s.key for s in stubs], timeout_s=1.0)
+        stubs[2].stop()
+        snapshot = scraper.scrape()
+        assert snapshot["status"] == "degraded-2-of-3"
+        assert snapshot["reachable"] == 2
+    finally:
+        for stub in stubs[:2]:
+            stub.stop()
+
+
+@pytest.mark.parametrize(
+    "up, total, status",
+    [
+        (0, 0, "empty"),
+        (0, 3, "unhealthy"),
+        (1, 3, "degraded-1-of-3"),
+        (2, 3, "degraded-2-of-3"),
+        (3, 3, "ok"),
+    ],
+)
+def test_fleet_status_counts_members_up(up, total, status):
+    assert fleet_status(up, total) == status
 
 
 def test_scrape_all_down_is_unhealthy():

@@ -73,7 +73,7 @@ def test_breaker_success_resets_failure_streak():
 
 
 def test_breaker_half_open_probe_then_close():
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=0.05, half_open_probes=1)
+    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=0.05)
     breaker.record_failure()
     assert breaker.state == CircuitBreaker.OPEN
     time.sleep(0.06)

@@ -17,6 +17,8 @@ failure mode is injected deterministically:
 
 import http.client
 import json
+import logging
+import math
 import threading
 import time
 
@@ -126,6 +128,55 @@ def test_replica_state_machine_half_open_single_trial():
     assert wait_until(lambda: replica.admit(), timeout=1.0)
     replica.record_success()
     assert replica.state == REPLICA_UP
+
+
+def test_replica_snapshot_and_transition_logs(caplog):
+    replica = Replica("h", 1, eject_after=1, cooldown_s=60.0)
+    with caplog.at_level(logging.INFO, logger="m3d_fault_loc"):
+        replica.record_failure()
+        assert replica.snapshot() == {
+            "replica": "h:1",
+            "state": "ejected",
+            "requests": 1,
+            "failures": 1,
+            "ejections": 1,
+        }
+        replica.record_failure()  # late failure while ejected: no second ejection
+        replica.record_success()
+    assert replica.snapshot() == {
+        "replica": "h:1",
+        "state": "up",
+        "requests": 3,
+        "failures": 2,
+        "ejections": 1,
+    }
+    events = [r.getMessage() for r in caplog.records if r.name == "m3d_fault_loc.serve.router"]
+    assert events == ["replica_ejected", "replica_readmitted"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("attempt_timeout_s", 0.0),
+        ("attempt_timeout_s", math.nan),
+        ("max_attempts", 0),
+        ("eject_after", 0),
+        ("cooldown_s", -1.0),
+        ("cooldown_s", math.inf),
+        ("probe_interval_s", 0.0),
+        ("probe_timeout_s", 0.0),
+        ("default_deadline_s", -5.0),
+        ("default_deadline_s", math.inf),
+    ],
+)
+def test_router_policy_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        fast_policy(**{field: value})
+
+
+def test_router_policy_accepts_zero_cooldown_and_no_prober():
+    policy = fast_policy(cooldown_s=0.0, probe_interval_s=None)
+    assert policy.cooldown_s == 0.0 and policy.probe_interval_s is None
 
 
 # -- routing affinity and failover ------------------------------------------
@@ -266,6 +317,20 @@ def test_router_health_degrades_and_recovers(two_replicas):
     a.heal()
     assert wait_until(lambda: router.health_snapshot()["status"] == "ok", timeout=3.0)
     router.close()
+
+
+def test_router_health_counts_replicas_up_of_three():
+    router = ReplicaRouter([("127.0.0.1", port) for port in (1, 2, 3)], policy=fast_policy())
+    victim = router.replicas[0]
+    for _ in range(router.policy.eject_after):
+        victim.record_failure()
+    health = router.health_snapshot()
+    assert health["status"] == "degraded-2-of-3"
+    assert [w["state"] for w in health["replicas"]] == ["ejected", "up", "up"]
+    for replica in router.replicas[1:]:
+        for _ in range(router.policy.eject_after):
+            replica.record_failure()
+    assert router.health_snapshot()["status"] == "unhealthy"
 
 
 # -- the HTTP front ----------------------------------------------------------
