@@ -45,9 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 
 
 def _check(condition: bool, label: str) -> None:
@@ -157,8 +155,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="requests fired during the kill window")
     args = parser.parse_args(argv)
 
-    rng = np.random.default_rng(23)
-    graphs = synthesize_fault_dataset(rng, n_graphs=48, n_gates=12, n_inputs=3)
+    spec = ScenarioSpec(n_graphs=48, n_gates=12, n_inputs=3, seed=23)
+    graphs = get_scenario("single_delay").generate(spec)
     payloads = [{"graph": g.to_json_dict(), "top_k": 3} for g in graphs]
 
     port_a, port_b = _free_port(), _free_port()

@@ -25,9 +25,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from check_prom import check_exposition  # noqa: E402 - sibling script import
@@ -61,8 +59,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--model", type=Path, required=True, help="trained .npz artifact")
     args = parser.parse_args(argv)
 
-    rng = np.random.default_rng(11)
-    graph = synthesize_fault_dataset(rng, n_graphs=1, n_gates=12, n_inputs=3)[0]
+    spec = ScenarioSpec(n_graphs=1, n_gates=12, n_inputs=3, seed=11)
+    graph = get_scenario("single_delay").generate(spec)[0]
     good_payload = {"graph": graph.to_json_dict(), "top_k": 3}
     bad_graph = graph.to_json_dict()
     bad_graph["x"]["dtype"] = "float64"  # schema dtype violation -> M3D106

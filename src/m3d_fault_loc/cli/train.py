@@ -51,6 +51,7 @@ from m3d_fault_loc.scenarios import (
     ScenarioSpec,
     build_scenario_engine,
     get_scenario,
+    hit_at_k,
     scenario_names,
 )
 from m3d_fault_loc.utils.seed import seed_everything
@@ -58,10 +59,7 @@ from m3d_fault_loc.utils.seed import seed_everything
 
 def localization_accuracy(model: DelayFaultLocalizer, dataset: CircuitGraphDataset) -> float:
     """Fraction of graphs whose top-scored node is the true fault origin."""
-    if len(dataset) == 0:
-        return 0.0
-    hits = sum(1 for g in dataset if model.predict(g) == g.fault_index)
-    return hits / len(dataset)
+    return hit_at_k(dataset, (model.node_scores(g) for g in dataset), 1)
 
 
 def train(

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from m3d_fault_loc.faults.injector import make_fault_sample
 from m3d_fault_loc.graph.netlist import COMB_CELLS, PI_CELL, Gate, Netlist
-from m3d_fault_loc.graph.schema import CircuitGraph
 from m3d_fault_loc.graph.timing import insertion_order_critical_path
 
 _CELL_FANIN = {"INV": 1, "BUF": 1, "AND2": 2, "OR2": 2, "NAND2": 2, "NOR2": 2, "XOR2": 2}
@@ -102,20 +100,3 @@ def random_netlist(
     )
     netlist.clock_period = insertion_order_critical_path(netlist) * slack_margin
     return netlist
-
-
-def synthesize_fault_dataset(
-    rng: np.random.Generator,
-    n_graphs: int = 100,
-    n_gates: int = 40,
-    n_inputs: int = 6,
-    num_tiers: int = 2,
-) -> list[CircuitGraph]:
-    """Generate ``n_graphs`` labeled delay-fault samples on fresh netlists."""
-    graphs: list[CircuitGraph] = []
-    for i in range(n_graphs):
-        netlist = random_netlist(
-            rng, n_gates=n_gates, n_inputs=n_inputs, num_tiers=num_tiers, name=f"synthetic-{i}"
-        )
-        graphs.append(make_fault_sample(netlist, rng))
-    return graphs

@@ -25,6 +25,11 @@ class DelayFault:
     extra_delay: float
 
 
+def fault_sites(netlist: Netlist) -> list[str]:
+    """The gates a fault may hit: every non-PI gate, sorted by name."""
+    return sorted(name for name, g in netlist.gates.items() if not g.is_primary_input)
+
+
 def inject_delay_fault(
     netlist: Netlist,
     rng: np.random.Generator,
@@ -37,7 +42,7 @@ def inject_delay_fault(
     defaults to a random multiple (2x–4x) of the victim gate's own delay so
     the defect is observable but not trivially saturating.
     """
-    candidates = sorted(name for name, g in netlist.gates.items() if not g.is_primary_input)
+    candidates = fault_sites(netlist)
     if not candidates:
         raise ValueError("netlist has no non-PI gates to inject a fault into")
     if gate is None:
@@ -49,14 +54,29 @@ def inject_delay_fault(
     return netlist.with_extra_delay(gate, extra_delay), DelayFault(gate=gate, extra_delay=extra_delay)
 
 
-def make_fault_sample(
-    netlist: Netlist,
-    rng: np.random.Generator,
-    extra_delay: float | None = None,
-    gate: str | None = None,
-) -> CircuitGraph:
+def inject_delay_faults(
+    netlist: Netlist, rng: np.random.Generator, k: int, low: float, high: float
+) -> tuple[Netlist, list[dict[str, float | str]]]:
+    """Slow ``k`` distinct random non-PI gates (all of them if fewer) at once.
+
+    Each victim gets ``U(low, high)`` times its own delay extra. Returns the
+    faulty netlist and the ``{"gate", "extra_delay"}`` records in draw order.
+    """
+    candidates = fault_sites(netlist)
+    picks = rng.choice(len(candidates), size=min(k, len(candidates)), replace=False)
+    faulty = netlist
+    faults: list[dict[str, float | str]] = []
+    for p in picks:
+        gate = candidates[int(p)]
+        extra = float(netlist.gates[gate].delay * rng.uniform(low, high))
+        faulty = faulty.with_extra_delay(gate, extra)
+        faults.append({"gate": gate, "extra_delay": extra})
+    return faulty, faults
+
+
+def make_fault_sample(netlist: Netlist, rng: np.random.Generator) -> CircuitGraph:
     """Build a labeled training sample: graph features + fault-origin label."""
-    faulty, fault = inject_delay_fault(netlist, rng, extra_delay=extra_delay, gate=gate)
+    faulty, fault = inject_delay_fault(netlist, rng)
     graph = build_circuit_graph(netlist, observed=faulty, fault_gate=fault.gate)
     graph.meta["fault"] = {"gate": fault.gate, "extra_delay": fault.extra_delay}
     return graph

@@ -1,59 +1,38 @@
-"""Pluggable fault-scenario platform.
+"""Fault-scenario platform.
 
-Five built-in scenarios register on import; each bundles a seeded dataset
-generator, M3D11x contract rules gating its payloads, and an eval metric.
-See ``docs/scenarios.md`` for the plugin API, payload schemas, and metrics.
+Five built-in scenarios, listed by name in :data:`SCENARIOS`; each bundles
+a per-netlist sample step (run by the one generation loop,
+:meth:`Scenario.generate`), M3D11x contract rules gating its payloads, and
+an eval metric. See ``docs/scenarios.md`` for adding a scenario, payload
+schemas, and metrics.
 """
 
-from m3d_fault_loc.scenarios.aging_drift import AgingDriftScenario
-from m3d_fault_loc.scenarios.base import Scenario, ScenarioSpec, ScoringModel, hit_at_k
-from m3d_fault_loc.scenarios.intermittent_delay import IntermittentDelayScenario
-from m3d_fault_loc.scenarios.multi_delay import MultiDelayScenario
-from m3d_fault_loc.scenarios.registry import (
+from m3d_fault_loc.scenarios.base import (
     DEFAULT_SCENARIO,
-    ScenarioRegistry,
+    Scenario,
+    ScenarioSpec,
+    hit_at_k,
+    top_k,
+)
+from m3d_fault_loc.scenarios.registry import (
+    SCENARIO_GRAPH_RULES,
+    SCENARIOS,
     UnknownScenarioError,
     build_scenario_engine,
     get_scenario,
-    register_scenario,
-    registered_scenarios,
     scenario_names,
 )
-from m3d_fault_loc.scenarios.rules import SCENARIO_GRAPH_RULES, ScenarioTagRule
-from m3d_fault_loc.scenarios.seu_bitflip import SeuBitflipScenario
-from m3d_fault_loc.scenarios.single_delay import SingleDelayScenario
-
-#: Built-in plugin classes, registered in name order on package import.
-BUILTIN_SCENARIOS: tuple[type[Scenario], ...] = (
-    AgingDriftScenario,
-    IntermittentDelayScenario,
-    MultiDelayScenario,
-    SeuBitflipScenario,
-    SingleDelayScenario,
-)
-
-for _cls in BUILTIN_SCENARIOS:
-    register_scenario(_cls())
 
 __all__ = [
-    "BUILTIN_SCENARIOS",
     "DEFAULT_SCENARIO",
+    "SCENARIOS",
     "SCENARIO_GRAPH_RULES",
-    "AgingDriftScenario",
-    "IntermittentDelayScenario",
-    "MultiDelayScenario",
     "Scenario",
-    "ScenarioRegistry",
     "ScenarioSpec",
-    "ScenarioTagRule",
-    "ScoringModel",
-    "SeuBitflipScenario",
-    "SingleDelayScenario",
     "UnknownScenarioError",
     "build_scenario_engine",
     "get_scenario",
     "hit_at_k",
-    "register_scenario",
-    "registered_scenarios",
     "scenario_names",
+    "top_k",
 ]

@@ -14,15 +14,17 @@ the min-max-normalized score field, plus hit@k on the drift maximum.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 
 from m3d_fault_loc.analysis.engine import GraphRule
-from m3d_fault_loc.data.synthetic import random_netlist
+from m3d_fault_loc.faults.injector import fault_sites
 from m3d_fault_loc.graph.builder import build_circuit_graph
+from m3d_fault_loc.graph.netlist import Netlist
 from m3d_fault_loc.graph.schema import CircuitGraph
-from m3d_fault_loc.scenarios.base import Scenario, ScenarioSpec, ScoringModel, hit_at_k
+from m3d_fault_loc.scenarios.base import SampleStep, Scenario, hit_at_k
 from m3d_fault_loc.scenarios.rules import AgingDriftFieldRule
 
 
@@ -36,6 +38,7 @@ def _normalized(values: np.ndarray) -> np.ndarray:
 class AgingDriftScenario(Scenario):
     name = "aging_drift"
     description = "per-gate aging drift field; regression metric vs node scores"
+    prefix = "aging-drift"
 
     #: Baseline drift range for every non-PI gate.
     base_drift = (0.0, 0.05)
@@ -44,26 +47,14 @@ class AgingDriftScenario(Scenario):
     #: Fraction of non-PI gates aged at the accelerated rate.
     default_hot_fraction = 0.1
 
-    def generate(self, spec: ScenarioSpec) -> list[CircuitGraph]:
-        hot_fraction = float(spec.params.get("hot_fraction", self.default_hot_fraction))
+    def sampler(self, params: dict[str, Any]) -> SampleStep:
+        hot_fraction = float(params.get("hot_fraction", self.default_hot_fraction))
         if not 0.0 < hot_fraction <= 1.0:
             raise ValueError(f"aging_drift needs hot_fraction in (0, 1], got {hot_fraction}")
-        rng = spec.rng()
-        graphs: list[CircuitGraph] = []
-        for i in range(spec.n_graphs):
-            netlist = random_netlist(
-                rng,
-                n_gates=spec.n_gates,
-                n_inputs=spec.n_inputs,
-                num_tiers=spec.num_tiers,
-                name=f"aging-drift-{i}",
-            )
-            candidates = sorted(
-                name for name, g in netlist.gates.items() if not g.is_primary_input
-            )
-            drift_by_gate = {
-                name: float(rng.uniform(*self.base_drift)) for name in candidates
-            }
+
+        def sample(netlist: Netlist, rng: np.random.Generator) -> CircuitGraph:
+            candidates = fault_sites(netlist)
+            drift_by_gate = {name: float(rng.uniform(*self.base_drift)) for name in candidates}
             n_hot = max(1, int(round(hot_fraction * len(candidates))))
             hot_picks = rng.choice(len(candidates), size=n_hot, replace=False)
             for p in hot_picks:
@@ -74,34 +65,34 @@ class AgingDriftScenario(Scenario):
                     aged = aged.with_extra_delay(name, netlist.gates[name].delay * drift)
             peak_gate = max(drift_by_gate, key=lambda name: drift_by_gate[name])
             graph = build_circuit_graph(netlist, observed=aged, fault_gate=peak_gate)
-            graph.meta["scenario"] = self.name
             graph.meta["aging"] = {
                 "drift": [float(drift_by_gate.get(name, 0.0)) for name in graph.node_names],
                 "peak_gate": peak_gate,
             }
-            graphs.append(graph)
-        return graphs
+            return graph
+
+        return sample
 
     def contract_rules(self) -> list[GraphRule]:
         return [AgingDriftFieldRule()]
 
     def evaluate(
-        self, model: ScoringModel, graphs: Sequence[CircuitGraph], k: int = 3
+        self, graphs: Sequence[CircuitGraph], scores: Sequence[np.ndarray], k: int = 3
     ) -> dict[str, float]:
         if not graphs:
             return {"pearson_r": 0.0, "drift_mae": 0.0, "hit_at_k": 0.0}
         correlations: list[float] = []
         maes: list[float] = []
-        for graph in graphs:
+        for graph, graph_scores in zip(graphs, scores, strict=True):
             drift = np.asarray(graph.meta["aging"]["drift"], dtype=np.float64)
-            scores = np.asarray(model.node_scores(graph), dtype=np.float64)
-            if float(drift.std()) > 0.0 and float(scores.std()) > 0.0:
-                correlations.append(float(np.corrcoef(scores, drift)[0, 1]))
+            field = np.asarray(graph_scores, dtype=np.float64)
+            if float(drift.std()) > 0.0 and float(field.std()) > 0.0:
+                correlations.append(float(np.corrcoef(field, drift)[0, 1]))
             else:
                 correlations.append(0.0)
-            maes.append(float(np.abs(_normalized(scores) - _normalized(drift)).mean()))
+            maes.append(float(np.abs(_normalized(field) - _normalized(drift)).mean()))
         return {
             "pearson_r": float(np.mean(correlations)),
             "drift_mae": float(np.mean(maes)),
-            "hit_at_k": hit_at_k(model, graphs, k),
+            "hit_at_k": hit_at_k(graphs, scores, k),
         }

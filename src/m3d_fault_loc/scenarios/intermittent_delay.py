@@ -13,39 +13,34 @@ statistics consistent; the metric is hit@k on the attenuated footprint.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any
+
+import numpy as np
 
 from m3d_fault_loc.analysis.engine import GraphRule
-from m3d_fault_loc.data.synthetic import random_netlist
 from m3d_fault_loc.faults.injector import inject_delay_fault
 from m3d_fault_loc.graph.builder import build_circuit_graph
+from m3d_fault_loc.graph.netlist import Netlist
 from m3d_fault_loc.graph.schema import CircuitGraph
-from m3d_fault_loc.scenarios.base import Scenario, ScenarioSpec, ScoringModel, hit_at_k
+from m3d_fault_loc.scenarios.base import SampleStep, Scenario
 from m3d_fault_loc.scenarios.rules import IntermittentActivationRule
 
 
 class IntermittentDelayScenario(Scenario):
     name = "intermittent_delay"
     description = "one delay fault active in a random fraction of observations"
+    prefix = "intermittent-delay"
 
     #: Default observations averaged per sample (``spec.params`` overrides).
     default_n_observations = 16
 
-    def generate(self, spec: ScenarioSpec) -> list[CircuitGraph]:
-        n_obs = int(spec.params.get("n_observations", self.default_n_observations))
+    def sampler(self, params: dict[str, Any]) -> SampleStep:
+        n_obs = int(params.get("n_observations", self.default_n_observations))
         if n_obs < 1:
             raise ValueError(f"intermittent_delay needs n_observations >= 1, got {n_obs}")
-        fixed_prob = spec.params.get("activation_prob")
-        rng = spec.rng()
-        graphs: list[CircuitGraph] = []
-        for i in range(spec.n_graphs):
-            netlist = random_netlist(
-                rng,
-                n_gates=spec.n_gates,
-                n_inputs=spec.n_inputs,
-                num_tiers=spec.num_tiers,
-                name=f"intermittent-delay-{i}",
-            )
+        fixed_prob = params.get("activation_prob")
+
+        def sample(netlist: Netlist, rng: np.random.Generator) -> CircuitGraph:
             faulty, fault = inject_delay_fault(netlist, rng)
             prob = float(fixed_prob) if fixed_prob is not None else float(rng.uniform(0.2, 0.9))
             activations = max(1, int(rng.binomial(n_obs, prob)))
@@ -58,7 +53,6 @@ class IntermittentDelayScenario(Scenario):
             full_delta = graph.x[:, 3].copy()
             graph.x[:, 3] = frac * full_delta
             graph.x[:, 2] = graph.x[:, 1] - graph.x[:, 3]
-            graph.meta["scenario"] = self.name
             graph.meta["fault"] = {
                 "gate": fault.gate,
                 "extra_delay": fault.extra_delay,
@@ -66,16 +60,9 @@ class IntermittentDelayScenario(Scenario):
                 "activations": activations,
                 "n_observations": n_obs,
             }
-            graphs.append(graph)
-        return graphs
+            return graph
+
+        return sample
 
     def contract_rules(self) -> list[GraphRule]:
         return [IntermittentActivationRule()]
-
-    def evaluate(
-        self, model: ScoringModel, graphs: Sequence[CircuitGraph], k: int = 3
-    ) -> dict[str, float]:
-        return {
-            "hit_at_1": hit_at_k(model, graphs, 1),
-            "hit_at_k": hit_at_k(model, graphs, k),
-        }

@@ -11,81 +11,56 @@ the top-k) alongside hit-any/hit-all.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
+from typing import Any
+
+import numpy as np
 
 from m3d_fault_loc.analysis.engine import GraphRule
-from m3d_fault_loc.data.synthetic import random_netlist
+from m3d_fault_loc.faults.injector import inject_delay_faults
 from m3d_fault_loc.graph.builder import build_circuit_graph
+from m3d_fault_loc.graph.netlist import Netlist
 from m3d_fault_loc.graph.schema import CircuitGraph
-from m3d_fault_loc.scenarios.base import Scenario, ScenarioSpec, ScoringModel, rank_nodes
+from m3d_fault_loc.scenarios.base import SampleStep, Scenario, site_recall
 from m3d_fault_loc.scenarios.rules import MultiDelayFaultSetRule
 
 
 class MultiDelayScenario(Scenario):
     name = "multi_delay"
     description = "k simultaneous delay faults; scored as a fault set (coverage@k)"
+    prefix = "multi-delay"
 
     #: Default number of simultaneous faults (``spec.params['k']`` overrides).
     default_k = 2
 
-    def generate(self, spec: ScenarioSpec) -> list[CircuitGraph]:
-        k = int(spec.params.get("k", self.default_k))
+    def sampler(self, params: dict[str, Any]) -> SampleStep:
+        k = int(params.get("k", self.default_k))
         if k < 1:
             raise ValueError(f"multi_delay needs k >= 1 faults, got {k}")
-        rng = spec.rng()
-        graphs: list[CircuitGraph] = []
-        for i in range(spec.n_graphs):
-            netlist = random_netlist(
-                rng,
-                n_gates=spec.n_gates,
-                n_inputs=spec.n_inputs,
-                num_tiers=spec.num_tiers,
-                name=f"multi-delay-{i}",
-            )
-            candidates = sorted(
-                name for name, g in netlist.gates.items() if not g.is_primary_input
-            )
-            n_faults = min(k, len(candidates))
-            picks = rng.choice(len(candidates), size=n_faults, replace=False)
-            faulty = netlist
-            faults: list[dict[str, float | str]] = []
-            for p in picks:
-                gate = candidates[int(p)]
-                extra = float(netlist.gates[gate].delay * rng.uniform(2.0, 4.0))
-                faulty = faulty.with_extra_delay(gate, extra)
-                faults.append({"gate": gate, "extra_delay": extra})
+
+        def sample(netlist: Netlist, rng: np.random.Generator) -> CircuitGraph:
+            faulty, faults = inject_delay_faults(netlist, rng, k, 2.0, 4.0)
             dominant = max(faults, key=lambda f: f["extra_delay"])
             graph = build_circuit_graph(netlist, observed=faulty, fault_gate=str(dominant["gate"]))
-            graph.meta["scenario"] = self.name
             graph.meta["faults"] = faults
-            graphs.append(graph)
-        return graphs
+            return graph
+
+        return sample
 
     def contract_rules(self) -> list[GraphRule]:
         return [MultiDelayFaultSetRule()]
 
     def evaluate(
-        self, model: ScoringModel, graphs: Sequence[CircuitGraph], k: int = 3
+        self, graphs: Sequence[CircuitGraph], scores: Sequence[np.ndarray], k: int = 3
     ) -> dict[str, float]:
-        if not graphs:
-            return {"coverage_at_k": 0.0, "hit_any_at_k": 0.0, "hit_all_at_k": 0.0}
-        coverage = 0.0
-        hit_any = 0
-        hit_all = 0
-        for graph in graphs:
-            fault_set = {
-                graph.node_names.index(str(f["gate"])) for f in graph.meta.get("faults", [])
-            }
-            if not fault_set:
-                continue
-            top = set(int(i) for i in rank_nodes(model, graph, k))
-            found = len(fault_set & top)
-            coverage += found / len(fault_set)
-            hit_any += int(found > 0)
-            hit_all += int(found == len(fault_set))
-        n = len(graphs)
+        recalls = []
+        for graph, graph_scores in zip(graphs, scores, strict=True):
+            faults = graph.meta.get("faults", [])
+            sites = {graph.node_names.index(str(f["gate"])) for f in faults}
+            recalls.append(site_recall(sites, graph_scores, k))
+        n = max(len(graphs), 1)
         return {
-            "coverage_at_k": coverage / n,
-            "hit_any_at_k": hit_any / n,
-            "hit_all_at_k": hit_all / n,
+            "coverage_at_k": sum(recalls) / n,
+            "hit_any_at_k": sum(r > 0.0 for r in recalls) / n,
+            "hit_all_at_k": sum(r == 1.0 for r in recalls) / n,
         }

@@ -1,10 +1,9 @@
-"""Scenario registry + per-scenario contract-engine composition.
+"""The scenario table + per-scenario contract-engine composition.
 
-The registry maps scenario names to :class:`Scenario` plugins with the same
-duplicate-rejecting semantics as the rule registries: two plugins claiming
-one name is a loud ``ValueError`` at registration time, never a silent
-shadow. The built-in five register in :mod:`m3d_fault_loc.scenarios`'s
-package init; external code adds more via :func:`register_scenario`.
+:data:`SCENARIOS` maps each built-in scenario's name to its instance. A new
+scenario is a :class:`~m3d_fault_loc.scenarios.base.Scenario` subclass
+listed here; the CLIs' ``--scenario`` choices, the ``/localize`` lookup and
+the ``m3dlint rules`` catalog all read this one table.
 
 :func:`build_scenario_engine` composes the engine the serving gate runs for
 one scenario: the structural graph contract (M3D10x), the shared tag rule
@@ -14,17 +13,38 @@ rules (M3D11x).
 
 from __future__ import annotations
 
-from m3d_fault_loc.analysis.engine import RuleConfig, RuleEngine, default_engine
+from m3d_fault_loc.analysis.engine import GraphRule, RuleConfig, RuleEngine, default_engine
+from m3d_fault_loc.scenarios.aging_drift import AgingDriftScenario
 from m3d_fault_loc.scenarios.base import Scenario
+from m3d_fault_loc.scenarios.intermittent_delay import IntermittentDelayScenario
+from m3d_fault_loc.scenarios.multi_delay import MultiDelayScenario
 from m3d_fault_loc.scenarios.rules import ScenarioTagRule
+from m3d_fault_loc.scenarios.seu_bitflip import SeuBitflipScenario
+from m3d_fault_loc.scenarios.single_delay import SingleDelayScenario
 
-#: The scenario ``/localize`` assumes when the request names none — the
-#: paper's original workload, served exactly as before the registry existed.
-DEFAULT_SCENARIO = "single_delay"
+#: Every scenario, by name.
+SCENARIOS: dict[str, Scenario] = {
+    s.name: s
+    for s in (
+        AgingDriftScenario(),
+        IntermittentDelayScenario(),
+        MultiDelayScenario(),
+        SeuBitflipScenario(),
+        SingleDelayScenario(),
+    )
+}
+
+#: The scenario-payload rule catalog, in rule-id order (for ``m3dlint rules``
+#: and the docs). M3D110 is parameterized by the serving scenario, so the
+#: catalog entry binds a placeholder expectation.
+SCENARIO_GRAPH_RULES: tuple[GraphRule, ...] = (
+    ScenarioTagRule(expected="<serving scenario>"),
+    *sorted((r for s in SCENARIOS.values() for r in s.contract_rules()), key=lambda r: r.id),
+)
 
 
 class UnknownScenarioError(KeyError):
-    """A request named a scenario the registry does not know."""
+    """A request named a scenario the table does not know."""
 
     def __init__(self, name: object, known: list[str]):
         self.name = name
@@ -32,67 +52,16 @@ class UnknownScenarioError(KeyError):
         super().__init__(f"unknown scenario {name!r}; registered: {', '.join(known) or '(none)'}")
 
 
-class ScenarioRegistry:
-    """Duplicate-rejecting ``name -> Scenario`` registry."""
-
-    def __init__(self, scenarios: list[Scenario] | None = None):
-        self._scenarios: dict[str, Scenario] = {}
-        for scenario in scenarios or []:
-            self.register(scenario)
-
-    def register(self, scenario: Scenario) -> None:
-        name = getattr(scenario, "name", None)
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"scenario {scenario!r} has no string 'name' attribute")
-        existing = self._scenarios.get(name)
-        if existing is not None:
-            raise ValueError(
-                f"duplicate scenario name: {name} "
-                f"({type(existing).__name__} is already registered under it; "
-                f"refusing to shadow it with {type(scenario).__name__})"
-            )
-        self._scenarios[name] = scenario
-
-    def get(self, name: object) -> Scenario:
-        if isinstance(name, str):
-            scenario = self._scenarios.get(name)
-            if scenario is not None:
-                return scenario
-        raise UnknownScenarioError(name, self.names())
-
-    def names(self) -> list[str]:
-        return sorted(self._scenarios)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._scenarios
-
-    def __len__(self) -> int:
-        return len(self._scenarios)
-
-    @property
-    def scenarios(self) -> list[Scenario]:
-        return [self._scenarios[name] for name in self.names()]
-
-
-#: The process-wide registry the serving stack and CLIs consult.
-_registry = ScenarioRegistry()
-
-
-def register_scenario(scenario: Scenario) -> None:
-    _registry.register(scenario)
-
-
 def get_scenario(name: object) -> Scenario:
     """Look up a scenario; raises :class:`UnknownScenarioError` (→ HTTP 422)."""
-    return _registry.get(name)
+    scenario = SCENARIOS.get(name) if isinstance(name, str) else None
+    if scenario is None:
+        raise UnknownScenarioError(name, scenario_names())
+    return scenario
 
 
 def scenario_names() -> list[str]:
-    return _registry.names()
-
-
-def registered_scenarios() -> list[Scenario]:
-    return _registry.scenarios
+    return sorted(SCENARIOS)
 
 
 def build_scenario_engine(

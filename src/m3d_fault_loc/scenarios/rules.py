@@ -355,15 +355,3 @@ class AgingDriftFieldRule(GraphRule):
             )
         return findings
 
-
-#: The scenario-payload rule catalog, in rule-id order (for ``m3dlint rules``
-#: and the docs). M3D110 is parameterized by the serving scenario, so the
-#: catalog entry binds a placeholder expectation.
-SCENARIO_GRAPH_RULES: tuple[GraphRule, ...] = (
-    ScenarioTagRule(expected="<serving scenario>"),
-    SingleDelayPayloadRule(),
-    MultiDelayFaultSetRule(),
-    IntermittentActivationRule(),
-    SeuTransientMaskRule(),
-    AgingDriftFieldRule(),
-)

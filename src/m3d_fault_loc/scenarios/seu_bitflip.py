@@ -15,81 +15,57 @@ The metric scores the upset *set*: hit-any@k and coverage@k.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
+from typing import Any
+
+import numpy as np
 
 from m3d_fault_loc.analysis.engine import GraphRule
-from m3d_fault_loc.data.synthetic import random_netlist
+from m3d_fault_loc.faults.injector import inject_delay_faults
 from m3d_fault_loc.graph.builder import build_circuit_graph
+from m3d_fault_loc.graph.netlist import Netlist
 from m3d_fault_loc.graph.schema import CircuitGraph
-from m3d_fault_loc.scenarios.base import Scenario, ScenarioSpec, ScoringModel, rank_nodes
+from m3d_fault_loc.scenarios.base import SampleStep, Scenario, site_recall
 from m3d_fault_loc.scenarios.rules import SeuTransientMaskRule
 
 
 class SeuBitflipScenario(Scenario):
     name = "seu_bitflip"
     description = "transient SEU strikes with a per-node transient mask in meta"
+    prefix = "seu-bitflip"
 
     #: Default number of upset sites per strike (``spec.params['n_flips']``).
     default_n_flips = 2
 
-    def generate(self, spec: ScenarioSpec) -> list[CircuitGraph]:
-        n_flips = int(spec.params.get("n_flips", self.default_n_flips))
+    def sampler(self, params: dict[str, Any]) -> SampleStep:
+        n_flips = int(params.get("n_flips", self.default_n_flips))
         if n_flips < 1:
             raise ValueError(f"seu_bitflip needs n_flips >= 1, got {n_flips}")
-        rng = spec.rng()
-        graphs: list[CircuitGraph] = []
-        for i in range(spec.n_graphs):
-            netlist = random_netlist(
-                rng,
-                n_gates=spec.n_gates,
-                n_inputs=spec.n_inputs,
-                num_tiers=spec.num_tiers,
-                name=f"seu-bitflip-{i}",
-            )
-            candidates = sorted(
-                name for name, g in netlist.gates.items() if not g.is_primary_input
-            )
-            m = min(n_flips, len(candidates))
-            picks = rng.choice(len(candidates), size=m, replace=False)
-            upset = netlist
-            flips: list[dict[str, float | str]] = []
-            for p in picks:
-                gate = candidates[int(p)]
-                transient = float(netlist.gates[gate].delay * rng.uniform(1.0, 2.5))
-                upset = upset.with_extra_delay(gate, transient)
-                flips.append({"gate": gate, "extra_delay": transient})
+
+        def sample(netlist: Netlist, rng: np.random.Generator) -> CircuitGraph:
+            upset, flips = inject_delay_faults(netlist, rng, n_flips, 1.0, 2.5)
             primary = max(flips, key=lambda f: f["extra_delay"])
             graph = build_circuit_graph(netlist, observed=upset, fault_gate=str(primary["gate"]))
             mask = [0] * graph.num_nodes
             for f in flips:
                 mask[graph.node_names.index(str(f["gate"]))] = 1
-            graph.meta["scenario"] = self.name
-            graph.meta["seu"] = {
-                "flips": flips,
-                "transient_mask": mask,
-                "n_flips": m,
-            }
-            graphs.append(graph)
-        return graphs
+            graph.meta["seu"] = {"flips": flips, "transient_mask": mask, "n_flips": len(flips)}
+            return graph
+
+        return sample
 
     def contract_rules(self) -> list[GraphRule]:
         return [SeuTransientMaskRule()]
 
     def evaluate(
-        self, model: ScoringModel, graphs: Sequence[CircuitGraph], k: int = 3
+        self, graphs: Sequence[CircuitGraph], scores: Sequence[np.ndarray], k: int = 3
     ) -> dict[str, float]:
-        if not graphs:
-            return {"hit_any_at_k": 0.0, "coverage_at_k": 0.0}
-        hit_any = 0
-        coverage = 0.0
-        for graph in graphs:
+        recalls = []
+        for graph, graph_scores in zip(graphs, scores, strict=True):
             mask = graph.meta.get("seu", {}).get("transient_mask", [])
-            flip_set = {i for i, v in enumerate(mask) if v}
-            if not flip_set:
-                continue
-            top = set(int(i) for i in rank_nodes(model, graph, k))
-            found = len(flip_set & top)
-            hit_any += int(found > 0)
-            coverage += found / len(flip_set)
-        n = len(graphs)
-        return {"hit_any_at_k": hit_any / n, "coverage_at_k": coverage / n}
+            recalls.append(site_recall({i for i, v in enumerate(mask) if v}, graph_scores, k))
+        n = max(len(graphs), 1)
+        return {
+            "hit_any_at_k": sum(r > 0.0 for r in recalls) / n,
+            "coverage_at_k": sum(recalls) / n,
+        }

@@ -1,44 +1,29 @@
-"""``single_delay`` — the paper's original workload, wrapped as a plugin.
+"""``single_delay`` — the paper's original workload.
 
-Generation delegates to the exact legacy pipeline
-(:func:`~m3d_fault_loc.data.synthetic.synthesize_fault_dataset` driven by
-``default_rng(spec.seed)``), so a spec with the same seed yields graphs
-**byte-identical** to what ``m3d-train`` synthesized before the scenario
-platform existed — including the absence of a ``meta["scenario"]`` tag,
-which is what keeps saved datasets and golden serving responses stable.
+The sample step is :func:`~m3d_fault_loc.faults.injector.make_fault_sample`
+on graphs named ``synthetic-<i>``, with no ``meta["scenario"]`` tag, so a
+spec with the same seed yields graphs **byte-identical** to what
+``m3d-train`` synthesized before scenarios existed — which is what keeps
+saved datasets and golden serving responses stable.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any
 
 from m3d_fault_loc.analysis.engine import GraphRule
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
-from m3d_fault_loc.graph.schema import CircuitGraph
-from m3d_fault_loc.scenarios.base import Scenario, ScenarioSpec, ScoringModel, hit_at_k
+from m3d_fault_loc.faults.injector import make_fault_sample
+from m3d_fault_loc.scenarios.base import SampleStep, Scenario
 from m3d_fault_loc.scenarios.rules import SingleDelayPayloadRule
 
 
 class SingleDelayScenario(Scenario):
     name = "single_delay"
     description = "one small-delay defect per graph (the paper's workload)"
+    prefix = "synthetic"
 
-    def generate(self, spec: ScenarioSpec) -> list[CircuitGraph]:
-        return synthesize_fault_dataset(
-            spec.rng(),
-            n_graphs=spec.n_graphs,
-            n_gates=spec.n_gates,
-            n_inputs=spec.n_inputs,
-            num_tiers=spec.num_tiers,
-        )
+    def sampler(self, params: dict[str, Any]) -> SampleStep:
+        return make_fault_sample
 
     def contract_rules(self) -> list[GraphRule]:
         return [SingleDelayPayloadRule()]
-
-    def evaluate(
-        self, model: ScoringModel, graphs: Sequence[CircuitGraph], k: int = 3
-    ) -> dict[str, float]:
-        return {
-            "hit_at_1": hit_at_k(model, graphs, 1),
-            "hit_at_k": hit_at_k(model, graphs, k),
-        }

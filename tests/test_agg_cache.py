@@ -13,7 +13,6 @@ import scipy.sparse as sp
 
 from fixture_graphs import make_clean_graph, make_high_fanout_graph
 
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.graph.schema import CircuitGraph
 from m3d_fault_loc.model.aggregate import (
     AggregationOperatorCache,
@@ -23,13 +22,15 @@ from m3d_fault_loc.model.aggregate import (
     topology_digest,
 )
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.cache import graph_digest
 
 
 @pytest.fixture(scope="module")
 def graphs():
-    rng = np.random.default_rng(11)
-    return synthesize_fault_dataset(rng, n_graphs=50, n_gates=20, n_inputs=4)
+    return get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=50, n_gates=20, n_inputs=4, seed=11)
+    )
 
 
 def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
@@ -72,8 +73,9 @@ def test_stack_block_diagonal_handles_edgeless_blocks():
 
 
 def build_in_neighbor_mean_from_random(seed: int) -> sp.csr_matrix:
-    rng = np.random.default_rng(seed)
-    graph = synthesize_fault_dataset(rng, n_graphs=1, n_gates=10, n_inputs=3)[0]
+    graph = get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=1, n_gates=10, n_inputs=3, seed=seed)
+    )[0]
     return build_in_neighbor_mean(graph)
 
 
@@ -129,8 +131,9 @@ def test_row_blocked_forward_matches_block_diag_oracle_exactly():
     """Graphs and batches past the forward's GEMM row block (240 rows at
     hidden 32) are scored block by block; the floats are still the oracle's
     single products, and a single graph still matches its batch."""
-    rng = np.random.default_rng(12)
-    big = synthesize_fault_dataset(rng, n_graphs=3, n_gates=300, n_inputs=6)
+    big = get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=3, n_gates=300, n_inputs=6, seed=12)
+    )
     assert all(g.num_nodes > 240 for g in big)
     model = DelayFaultLocalizer(hidden=32, seed=3)
     batched = model.node_scores_batch(big)

@@ -33,11 +33,10 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.registry import ModelRegistry, ModelRegistryError
 from m3d_fault_loc.serve.resilience import (
     CircuitBreaker,
@@ -66,8 +65,9 @@ from m3d_fault_loc.testing.chaos import (
 
 @pytest.fixture(scope="module")
 def graphs():
-    rng = np.random.default_rng(7)
-    return synthesize_fault_dataset(rng, n_graphs=8, n_gates=12, n_inputs=3)
+    return get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=8, n_gates=12, n_inputs=3, seed=7)
+    )
 
 
 def base_model():

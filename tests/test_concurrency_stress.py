@@ -17,11 +17,10 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.registry import ModelRegistry
 from m3d_fault_loc.serve.resilience import ExponentialBackoff, ResilienceError
 from m3d_fault_loc.serve.service import LocalizationService
@@ -34,8 +33,9 @@ N_RELOADS = 3
 
 @pytest.fixture(scope="module")
 def graphs():
-    rng = np.random.default_rng(11)
-    return synthesize_fault_dataset(rng, n_graphs=6, n_gates=10, n_inputs=3)
+    return get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=6, n_gates=10, n_inputs=3, seed=11)
+    )
 
 
 def wait_until(predicate, timeout=10.0, interval=0.01):

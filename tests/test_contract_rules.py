@@ -22,7 +22,8 @@ from m3d_fault_loc.analysis.graph_rules import (
     SchemaConformanceRule,
 )
 from m3d_fault_loc.analysis.violations import Severity, has_errors
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
+from m3d_fault_loc.data.synthetic import random_netlist
+from m3d_fault_loc.faults.injector import make_fault_sample
 from m3d_fault_loc.graph.schema import (
     EDGE_FEATURE_COLUMNS,
     EDGE_MIV,
@@ -365,10 +366,11 @@ def _oracle_corpus():
     rng = np.random.default_rng(19)
     for n_gates in (30, 120, 480):
         for num_tiers in (2, 3):
-            (graph,) = synthesize_fault_dataset(
-                rng, n_graphs=1, n_gates=n_gates, n_inputs=max(3, n_gates // 10),
-                num_tiers=num_tiers,
+            netlist = random_netlist(
+                rng, n_gates=n_gates, n_inputs=max(3, n_gates // 10), num_tiers=num_tiers,
+                name="synthetic-0",
             )
+            graph = make_fault_sample(netlist, rng)
             corpus.append((f"{n_gates}g-{num_tiers}t-clean", graph))
             for label, corrupted in _corruptions(graph, rng):
                 corpus.append((f"{n_gates}g-{num_tiers}t-{label}", corrupted))

@@ -8,7 +8,7 @@ import pytest
 from fixture_graphs import make_bad_dtype_graph, make_clean_graph, make_high_fanout_graph
 from m3d_fault_loc.analysis.engine import RuleConfig, default_engine
 from m3d_fault_loc.data.dataset import CircuitGraphDataset, GraphContractError
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 
 
 def test_clean_graphs_load():
@@ -46,8 +46,8 @@ def test_load_dir_gates_serialized_graphs(tmp_path):
 
 
 def test_save_dir_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    ds = CircuitGraphDataset.from_graphs(synthesize_fault_dataset(rng, n_graphs=4, n_gates=15))
+    graphs = get_scenario("single_delay").generate(ScenarioSpec(n_graphs=4, n_gates=15, seed=7))
+    ds = CircuitGraphDataset.from_graphs(graphs)
     ds.save_dir(tmp_path / "out")
     reloaded = CircuitGraphDataset.load_dir(tmp_path / "out")
     assert len(reloaded) == 4
@@ -55,9 +55,9 @@ def test_save_dir_roundtrip(tmp_path):
 
 
 def test_split_partitions_dataset():
-    rng = np.random.default_rng(3)
-    ds = CircuitGraphDataset.from_graphs(synthesize_fault_dataset(rng, n_graphs=10, n_gates=12))
-    train, test = ds.split(rng, test_fraction=0.3)
+    graphs = get_scenario("single_delay").generate(ScenarioSpec(n_graphs=10, n_gates=12, seed=3))
+    ds = CircuitGraphDataset.from_graphs(graphs)
+    train, test = ds.split(np.random.default_rng(3), test_fraction=0.3)
     assert len(train) + len(test) == 10
     assert len(test) == 3
 

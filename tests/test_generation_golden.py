@@ -14,10 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario, scenario_names
 
 #: (n_graphs, n_gates, n_inputs, num_tiers, seed). The one-input 4-tier spec
@@ -84,7 +82,7 @@ DATASET_DIGESTS: dict[tuple[str, str], str] = {
         "108c30eaa1e52b968d895556de43f8b7ff3fa58dd9180ee892fd7168ade6fc77",
 }
 
-#: sha256 of ``rng.bit_generator.state`` after ``synthesize_fault_dataset``.
+#: sha256 of ``rng.bit_generator.state`` after ``single_delay``'s generation loop.
 RNG_STATE_DIGESTS: dict[str, str] = {
     "2tier-30": "d41f1be537de5c2491919a6c89da88fa3508720216eee3159e2f866e33810f6e",
     "2tier-120": "a91285141b51d38fec7267187c8b497715dffb1e4f3e5e2d30e33fc87d58db81",
@@ -98,22 +96,30 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def dataset_digest(scenario: str, spec_key: str) -> str:
+def spec_for(spec_key: str) -> ScenarioSpec:
     n_graphs, n_gates, n_inputs, num_tiers, seed = SPECS[spec_key]
-    graphs = get_scenario(scenario).generate(
-        ScenarioSpec(
-            n_graphs=n_graphs, n_gates=n_gates, n_inputs=n_inputs, num_tiers=num_tiers, seed=seed
-        )
+    return ScenarioSpec(
+        n_graphs=n_graphs, n_gates=n_gates, n_inputs=n_inputs, num_tiers=num_tiers, seed=seed
     )
+
+
+def dataset_digest(scenario: str, spec_key: str) -> str:
+    graphs = get_scenario(scenario).generate(spec_for(spec_key))
     return _sha("\n".join(json.dumps(g.to_json_dict(), sort_keys=True) for g in graphs))
 
 
-def rng_state_digest(spec_key: str) -> str:
-    n_graphs, n_gates, n_inputs, num_tiers, seed = SPECS[spec_key]
-    rng = np.random.default_rng(seed)
-    synthesize_fault_dataset(
-        rng, n_graphs=n_graphs, n_gates=n_gates, n_inputs=n_inputs, num_tiers=num_tiers
-    )
+def rng_state_digest(spec_key: str, monkeypatch: pytest.MonkeyPatch) -> str:
+    """Generate ``single_delay`` and hash the state of the one RNG it drew from."""
+    made = []
+    make_rng = ScenarioSpec.rng
+
+    def recording_rng(spec: ScenarioSpec):
+        made.append(make_rng(spec))
+        return made[-1]
+
+    monkeypatch.setattr(ScenarioSpec, "rng", recording_rng)
+    get_scenario("single_delay").generate(spec_for(spec_key))
+    (rng,) = made
     return _sha(json.dumps(rng.bit_generator.state, sort_keys=True))
 
 
@@ -128,5 +134,5 @@ def test_dataset_bytes_match_pinned_digest(scenario, spec_key):
 
 
 @pytest.mark.parametrize("spec_key", sorted(RNG_STATE_DIGESTS))
-def test_rng_state_after_synthesis_matches_pinned_digest(spec_key):
-    assert rng_state_digest(spec_key) == RNG_STATE_DIGESTS[spec_key]
+def test_rng_state_after_synthesis_matches_pinned_digest(spec_key, monkeypatch):
+    assert rng_state_digest(spec_key, monkeypatch) == RNG_STATE_DIGESTS[spec_key]

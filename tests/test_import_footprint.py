@@ -5,7 +5,7 @@ JSONL and scrapes HTTP. Neither needs numpy, scipy or the model stack, and
 loading them costs every such process ~22 MiB and ~250 ms. Package
 ``__init__`` modules stay docstring-only so importing a submodule never
 drags its siblings in; ``scenarios`` is the one exception, because its
-``__init__`` registers the built-in scenarios.
+``__init__`` re-exports the scenario table and its API.
 
 Each check runs in a fresh interpreter: the test process itself has long
 since imported everything.
@@ -55,6 +55,17 @@ def test_entry_module_loads_no_numpy_scipy_or_model_stack(entry):
     )
     heavy = [m for m in loaded if any(m == h or m.startswith(h + ".") for h in HEAVY)]
     assert heavy == [], f"importing {entry} loaded {heavy}"
+
+
+def test_netlist_synthesis_loads_no_fault_injection_or_graph_builder():
+    loaded = json.loads(
+        fresh_python(
+            "import json, sys, m3d_fault_loc.data.synthetic; print(json.dumps(sorted(sys.modules)))"
+        )
+    )
+    heavy = ("m3d_fault_loc.faults", "m3d_fault_loc.graph.builder")
+    pulled = [m for m in loaded if any(m == h or m.startswith(h + ".") for h in heavy)]
+    assert pulled == [], f"importing m3d_fault_loc.data.synthetic loaded {pulled}"
 
 
 def package_names() -> list[str]:

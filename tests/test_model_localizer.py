@@ -5,9 +5,9 @@ import pytest
 
 from m3d_fault_loc.cli.train import localization_accuracy, train
 from m3d_fault_loc.data.dataset import CircuitGraphDataset
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.aggregate import build_in_neighbor_mean
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer, ModelArtifactError
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.testing.chaos import (
     MALFORMED_PARAM_KEYS,
     UNREADABLE_KINDS,
@@ -18,9 +18,10 @@ from m3d_fault_loc.testing.chaos import (
 
 @pytest.fixture(scope="module")
 def dataset():
-    rng = np.random.default_rng(0)
     return CircuitGraphDataset.from_graphs(
-        synthesize_fault_dataset(rng, n_graphs=80, n_gates=25, n_inputs=5)
+        get_scenario("single_delay").generate(
+            ScenarioSpec(n_graphs=80, n_gates=25, n_inputs=5, seed=0)
+        )
     )
 
 

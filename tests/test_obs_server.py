@@ -7,12 +7,11 @@ import logging
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.obs.context import sanitize_trace_id
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.resilience import ExponentialBackoff
 from m3d_fault_loc.serve.server import TRACE_HEADER, create_server
 from m3d_fault_loc.serve.service import LocalizationService
@@ -21,8 +20,9 @@ from m3d_fault_loc.testing.chaos import CrashOnNthBatchModel, SlowBatchModel
 
 @pytest.fixture(scope="module")
 def graphs():
-    rng = np.random.default_rng(13)
-    return synthesize_fault_dataset(rng, n_graphs=8, n_gates=12, n_inputs=3)
+    return get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=8, n_gates=12, n_inputs=3, seed=13)
+    )
 
 
 def base_model():

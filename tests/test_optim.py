@@ -7,19 +7,20 @@ import pytest
 
 from m3d_fault_loc.cli import train as train_cli
 from m3d_fault_loc.data.dataset import CircuitGraphDataset
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.model.optim import (
     NonFiniteLossError,
     clip_by_global_norm,
     global_grad_norm,
 )
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 
 
 def tiny_dataset(n_graphs=6):
-    rng = np.random.default_rng(0)
     return CircuitGraphDataset.from_graphs(
-        synthesize_fault_dataset(rng, n_graphs=n_graphs, n_gates=10, n_inputs=3)
+        get_scenario("single_delay").generate(
+            ScenarioSpec(n_graphs=n_graphs, n_gates=10, n_inputs=3, seed=0)
+        )
     )
 
 

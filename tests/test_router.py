@@ -527,12 +527,10 @@ def test_router_fleet_endpoint_federates_member_metrics(http_router, two_replica
 
 def test_failover_waterfall_stitches_across_processes(tmp_path):
     """Integration: real replicas + router, owner killed, logs stitched."""
-    import numpy as np
-
-    from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
     from m3d_fault_loc.model.localizer import DelayFaultLocalizer
     from m3d_fault_loc.obs.stitch import stitch_files
     from m3d_fault_loc.obs.trace import JsonlTraceExporter, Tracer
+    from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
     from m3d_fault_loc.serve.server import create_server
     from m3d_fault_loc.serve.service import LocalizationService
 
@@ -564,8 +562,9 @@ def test_failover_waterfall_stitches_across_processes(tmp_path):
         ),
     )
     try:
-        rng = np.random.default_rng(11)
-        graph = synthesize_fault_dataset(rng, n_graphs=1, n_gates=10, n_inputs=3)[0]
+        graph = get_scenario("single_delay").generate(
+            ScenarioSpec(n_graphs=1, n_gates=10, n_inputs=3, seed=11)
+        )[0]
         body = json.dumps({"graph": graph.to_json_dict(), "top_k": 2}).encode()
 
         first = router.dispatch("POST", "/localize", body, {})

@@ -12,6 +12,7 @@ import pytest
 from m3d_fault_loc.analysis import cli as lint_cli
 from m3d_fault_loc.cli import evaluate as evaluate_cli
 from m3d_fault_loc.cli import train as train_cli
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario, scenario_names
 
 
@@ -80,6 +81,46 @@ def test_evaluate_keeps_legacy_stdout_lines(trained_model, capsys):
     assert "top-1 localization accuracy" in out
     assert "top-3 localization accuracy" in out
     assert "seu_bitflip" in out
+
+
+@pytest.mark.parametrize("name", sorted(scenario_names()))
+def test_evaluate_scores_each_graph_once(trained_model, monkeypatch, name):
+    calls = []
+    node_scores = DelayFaultLocalizer.node_scores
+
+    def counting(self, graph):
+        calls.append(graph.name)
+        return node_scores(self, graph)
+
+    monkeypatch.setattr(DelayFaultLocalizer, "node_scores", counting)
+    rc = evaluate_cli.main([
+        "--model", str(trained_model), "--n-graphs", "4", "--n-gates", "12",
+        "--scenario", name,
+    ])
+    assert rc == 0
+    prefix = get_scenario(name).prefix
+    assert sorted(calls) == [f"{prefix}-{i}" for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--top-k", "-1"),
+        ("--top-k", "0"),
+        ("--n-gates", "0"),
+        ("--n-inputs", "0"),
+        ("--num-tiers", "0"),
+        ("--n-graphs", "0"),
+        ("--n-graphs", "-3"),
+    ],
+)
+def test_evaluate_rejects_nonsense_sizes_with_usage_error(trained_model, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        evaluate_cli.main(["--model", str(trained_model), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be >= 1, got {value}" in err
+    assert "Traceback" not in err
 
 
 def test_lint_check_scenario_gates_saved_datasets(tmp_path, capsys):

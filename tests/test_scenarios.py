@@ -1,9 +1,8 @@
-"""Scenario platform: registry, determinism, legacy equivalence, M3D11x rules.
+"""Scenario platform: table, determinism, generation loop, M3D11x rules, metrics.
 
-The two load-bearing guarantees are byte-level: the same spec + seed must
+The load-bearing guarantee is byte-level: the same spec + seed must
 regenerate an identical dataset (scenario datasets are cached and shared by
-digest), and ``single_delay`` through the registry must be byte-identical to
-the legacy injector (pre-platform datasets and golden responses stay valid).
+digest); ``tests/test_generation_golden.py`` pins the bytes themselves.
 """
 
 import json
@@ -12,17 +11,16 @@ import numpy as np
 import pytest
 
 from m3d_fault_loc.data.dataset import CircuitGraphDataset
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.scenarios import (
     DEFAULT_SCENARIO,
-    ScenarioRegistry,
     ScenarioSpec,
     UnknownScenarioError,
     build_scenario_engine,
     get_scenario,
-    register_scenario,
+    hit_at_k,
     scenario_names,
+    top_k,
 )
 
 SPEC = ScenarioSpec(n_graphs=4, n_gates=14, n_inputs=3, num_tiers=2, seed=77)
@@ -34,7 +32,7 @@ def canonical(graphs):
     return [json.dumps(g.to_json_dict(), sort_keys=True) for g in graphs]
 
 
-# ---------------------------------------------------------------- registry
+# ------------------------------------------------------------------- table
 
 
 def test_five_builtin_scenarios_registered():
@@ -53,18 +51,6 @@ def test_unknown_scenario_raises_with_known_list():
         get_scenario("stuck_at_zero")
     assert exc.value.name == "stuck_at_zero"
     assert exc.value.known == ALL_SCENARIOS
-
-
-def test_registry_rejects_duplicate_names():
-    registry = ScenarioRegistry()
-    registry.register(get_scenario("single_delay"))
-    with pytest.raises(ValueError, match="single_delay"):
-        registry.register(get_scenario("single_delay"))
-
-
-def test_register_scenario_rejects_global_duplicate():
-    with pytest.raises(ValueError):
-        register_scenario(get_scenario("multi_delay"))
 
 
 # ------------------------------------------------------------- determinism
@@ -86,18 +72,28 @@ def test_different_seed_differs(name):
     assert canonical(scenario.generate(SPEC)) != canonical(scenario.generate(other))
 
 
-def test_single_delay_matches_legacy_injector_exactly():
-    via_registry = get_scenario("single_delay").generate(SPEC)
-    legacy = synthesize_fault_dataset(
-        np.random.default_rng(SPEC.seed),
-        n_graphs=SPEC.n_graphs,
-        n_gates=SPEC.n_gates,
-        n_inputs=SPEC.n_inputs,
-        num_tiers=SPEC.num_tiers,
-    )
-    assert canonical(via_registry) == canonical(legacy)
-    # No scenario tag: pre-platform consumers see the dataset unchanged.
-    assert all("scenario" not in g.meta for g in via_registry)
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_generate_names_and_tags_every_graph(name):
+    scenario = get_scenario(name)
+    graphs = scenario.generate(SPEC)
+    assert [g.name for g in graphs] == [f"{scenario.prefix}-{i}" for i in range(SPEC.n_graphs)]
+    # single_delay stays untagged: pre-platform consumers see the dataset unchanged.
+    expected_tag = None if name == DEFAULT_SCENARIO else name
+    assert all(g.meta.get("scenario") == expected_tag for g in graphs)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("multi_delay", {"k": 0}),
+        ("seu_bitflip", {"n_flips": 0}),
+        ("intermittent_delay", {"n_observations": 0}),
+        ("aging_drift", {"hot_fraction": 0.0}),
+    ],
+)
+def test_out_of_range_knob_raises_before_generating(name, params):
+    with pytest.raises(ValueError, match=name):
+        get_scenario(name).generate(ScenarioSpec(n_graphs=0, params=params))
 
 
 # ------------------------------------------------------- contract gating
@@ -191,7 +187,7 @@ def test_evaluate_returns_bounded_metrics(name):
     scenario = get_scenario(name)
     graphs = scenario.generate(SPEC)
     model = DelayFaultLocalizer(hidden=8, seed=1)
-    metrics = scenario.evaluate(model, graphs, k=3)
+    metrics = scenario.evaluate(graphs, [model.node_scores(g) for g in graphs], k=3)
     assert metrics, f"{name} returned no metrics"
     for key, value in metrics.items():
         assert isinstance(value, float)
@@ -204,15 +200,14 @@ def test_perfect_model_hits_multi_delay_fault_set():
     scenario = get_scenario("multi_delay")
     graphs = scenario.generate(SPEC)
 
-    class Oracle:
-        def node_scores(self, graph):
-            scores = np.zeros(graph.num_nodes)
-            names = list(graph.node_names)
-            for fault in graph.meta["faults"]:
-                scores[names.index(fault["gate"])] = 1.0
-            return scores
+    scores = []
+    for graph in graphs:
+        oracle = np.zeros(graph.num_nodes)
+        for fault in graph.meta["faults"]:
+            oracle[graph.node_names.index(fault["gate"])] = 1.0
+        scores.append(oracle)
 
-    metrics = scenario.evaluate(Oracle(), graphs, k=4)
+    metrics = scenario.evaluate(graphs, scores, k=4)
     assert metrics["coverage_at_k"] == 1.0
     assert metrics["hit_all_at_k"] == 1.0
 
@@ -223,3 +218,28 @@ def test_scenario_datasets_load_into_dataset_with_scenario_engine():
         graphs, engine=build_scenario_engine("aging_drift")
     )
     assert len(dataset) == SPEC.n_graphs
+
+
+def test_top_k_breaks_ties_toward_the_lowest_index_like_argmax():
+    scores = np.array([0.5, 2.0, 1.0, 2.0, 2.0])
+    assert top_k(scores, 1).tolist() == [int(np.argmax(scores))] == [1]
+    assert top_k(scores, 4).tolist() == [1, 3, 4, 2]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_hit_at_k_rejects_k_below_one(k):
+    graphs = get_scenario("single_delay").generate(SPEC)
+    scores = [np.zeros(g.num_nodes) for g in graphs]
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        hit_at_k(graphs, scores, k)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        hit_at_k([], [], k)
+
+
+def test_hit_at_k_counts_fault_index_in_top_k():
+    graphs = get_scenario("single_delay").generate(SPEC)
+    scores = [np.zeros(g.num_nodes) for g in graphs]
+    for i, (graph, graph_scores) in enumerate(zip(graphs, scores)):
+        graph_scores[graph.fault_index] = 1.0 if i < 2 else -1.0  # first or last
+    assert hit_at_k(graphs, scores, 1) == 2 / len(graphs)
+    assert hit_at_k(graphs, scores, max(g.num_nodes for g in graphs)) == 1.0

@@ -31,11 +31,3 @@ def test_rejects_out_of_range_seed():
     with pytest.raises(ValueError):
         seed_everything(2**32)
 
-
-def test_synthesis_is_deterministic_under_seed():
-    from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
-
-    g1 = synthesize_fault_dataset(seed_everything(99), n_graphs=2, n_gates=10)
-    g2 = synthesize_fault_dataset(seed_everything(99), n_graphs=2, n_gates=10)
-    assert [g.fault_index for g in g1] == [g.fault_index for g in g2]
-    assert np.array_equal(g1[0].x, g2[0].x)

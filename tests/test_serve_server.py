@@ -10,11 +10,10 @@ import http.client
 import json
 import threading
 
-import numpy as np
 import pytest
 
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.server import create_server
 from m3d_fault_loc.serve.service import LocalizationService
 
@@ -50,8 +49,9 @@ def request(server, method, path, body=None):
 
 @pytest.fixture(scope="module")
 def graph():
-    rng = np.random.default_rng(9)
-    return synthesize_fault_dataset(rng, n_graphs=1, n_gates=12, n_inputs=3)[0]
+    return get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=1, n_gates=12, n_inputs=3, seed=9)
+    )[0]
 
 
 def test_end_to_end_localize_cache_reject_metrics(live_server, graph):

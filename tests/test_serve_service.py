@@ -9,9 +9,10 @@ import pytest
 from fixture_graphs import make_bad_dtype_graph, make_high_fanout_graph
 from m3d_fault_loc.analysis.engine import RuleConfig, default_engine
 from m3d_fault_loc.data.dataset import GraphContractError
-from m3d_fault_loc.data.synthetic import random_netlist, synthesize_fault_dataset
+from m3d_fault_loc.data.synthetic import random_netlist
 from m3d_fault_loc.faults.injector import make_fault_sample
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.registry import ModelRegistry
 from m3d_fault_loc.serve.service import LocalizationService
 from m3d_fault_loc.testing.chaos import ChaosModelWrapper
@@ -19,8 +20,9 @@ from m3d_fault_loc.testing.chaos import ChaosModelWrapper
 
 @pytest.fixture(scope="module")
 def graphs():
-    rng = np.random.default_rng(5)
-    return synthesize_fault_dataset(rng, n_graphs=8, n_gates=12, n_inputs=3)
+    return get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=8, n_gates=12, n_inputs=3, seed=5)
+    )
 
 
 def make_service(**kwargs):

@@ -12,9 +12,9 @@ import pytest
 
 from m3d_fault_loc.cli.train import train
 from m3d_fault_loc.data.dataset import CircuitGraphDataset
-from m3d_fault_loc.data.synthetic import synthesize_fault_dataset
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.model.optim import clip_by_global_norm, global_grad_norm
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 
 
 class _RecordingTelemetry:
@@ -80,10 +80,11 @@ def oracle_train(dataset, rng, epochs, batch_size, lr, hidden, seed, clip_norm):
 
 @pytest.fixture(scope="module")
 def dataset():
-    rng = np.random.default_rng(5)
     # 13 graphs: batch size 4 leaves a last minibatch of 1.
     return CircuitGraphDataset.from_graphs(
-        synthesize_fault_dataset(rng, n_graphs=13, n_gates=14, n_inputs=4)
+        get_scenario("single_delay").generate(
+            ScenarioSpec(n_graphs=13, n_gates=14, n_inputs=4, seed=5)
+        )
     )
 
 
