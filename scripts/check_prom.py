@@ -1,12 +1,13 @@
 """Validate a Prometheus text exposition (as served by ``GET /metrics``).
 
-Checks, per metric family:
+Checks:
 
 - every sample line parses as ``name{labels} value`` with a finite float,
 - every sample is preceded by a ``# TYPE`` line for its family,
-- histograms expose ``_sum``, ``_count``, and a ``+Inf`` bucket,
-- histogram buckets are cumulative (monotone non-decreasing in ``le`` order)
-  and the ``+Inf`` bucket equals ``_count``.
+- each histogram series (family plus its labels other than ``le``) exposes
+  ``_sum``, ``_count``, and a ``+Inf`` bucket,
+- each series' buckets are cumulative (monotone non-decreasing in ``le``
+  order) and its ``+Inf`` bucket equals its ``_count``.
 
 Importable (``check_exposition(text) -> list[str]`` of problems) and
 runnable: ``python scripts/check_prom.py [FILE]`` reads the exposition from
@@ -21,9 +22,10 @@ import re
 import sys
 
 _SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(?P<labels>[^}]*)\})?\s+(?P<value>\S+)$"
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r'(?:\{(?P<labels>(?:[^"}]|"(?:[^"\\]|\\.)*")*)\})?\s+(?P<value>\S+)$'
 )
-_LE_RE = re.compile(r'le="([^"]+)"')
+_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
 def _family(name: str) -> str:
@@ -34,23 +36,22 @@ def _family(name: str) -> str:
     return name
 
 
-def _parse_le(labels: str | None) -> float | None:
-    match = _LE_RE.search(labels or "")
-    if match is None:
-        return None
-    raw = match.group(1)
-    return math.inf if raw == "+Inf" else float(raw)
+def _series(family: str, labels: str | None) -> tuple[tuple[str, str], str | None]:
+    """A sample's series ``(family, labels other than le)`` and its ``le``."""
+    pairs = dict(_LABEL_RE.findall(labels or ""))
+    le = pairs.pop("le", None)
+    return (family, ",".join(f'{k}="{v}"' for k, v in sorted(pairs.items()))), le
 
 
 def check_exposition(text: str) -> list[str]:
     """Return every problem found in a Prometheus text exposition."""
     problems: list[str] = []
     types: dict[str, str] = {}
-    # family -> list of (le, count) for _bucket samples; and scalar samples
-    buckets: dict[str, list[tuple[float, float]]] = {}
-    sums: dict[str, float] = {}
-    counts: dict[str, float] = {}
-    seen_families: list[str] = []
+    # (family, labels without le) -> list of (le, count) for _bucket
+    # samples; and the series' _sum / _count samples
+    buckets: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    sums: dict[tuple[str, str], float] = {}
+    counts: dict[tuple[str, str], float] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip()
@@ -80,43 +81,56 @@ def check_exposition(text: str) -> list[str]:
         family = _family(name)
         if family not in types:
             problems.append(f"line {lineno}: sample {name!r} has no preceding # TYPE line")
-        if family not in seen_families:
-            seen_families.append(family)
+        key, le = _series(family, match.group("labels"))
         if name.endswith("_bucket"):
-            le = _parse_le(match.group("labels"))
             if le is None:
                 problems.append(f"line {lineno}: bucket sample without an le label: {line!r}")
             else:
-                buckets.setdefault(family, []).append((le, value))
+                bound = math.inf if le == "+Inf" else float(le)
+                buckets.setdefault(key, []).append((bound, value))
         elif name.endswith("_sum"):
-            sums[family] = value
+            sums[key] = value
         elif name.endswith("_count"):
-            counts[family] = value
+            counts[key] = value
 
     for family, kind in types.items():
         if kind != "histogram":
             continue
-        series = buckets.get(family, [])
-        if not series:
+        keys = sorted({key for key in (*buckets, *sums, *counts) if key[0] == family})
+        if not keys:
             problems.append(f"histogram {family}: no _bucket samples")
-            continue
-        if family not in sums:
-            problems.append(f"histogram {family}: missing _sum")
-        if family not in counts:
-            problems.append(f"histogram {family}: missing _count")
-        les = [le for le, _ in series]
-        if les != sorted(les):
-            problems.append(f"histogram {family}: buckets not in increasing le order")
-        if les and les[-1] != math.inf:
-            problems.append(f"histogram {family}: missing the +Inf bucket")
-        values = [v for _, v in series]
-        if any(b < a for a, b in zip(values, values[1:])):
-            problems.append(f"histogram {family}: bucket counts are not cumulative")
-        if les and les[-1] == math.inf and family in counts and values[-1] != counts[family]:
-            problems.append(
-                f"histogram {family}: +Inf bucket ({values[-1]:g}) != _count "
-                f"({counts[family]:g})"
+        for key in keys:
+            series = f"{family}{{{key[1]}}}" if key[1] else family
+            problems.extend(
+                f"histogram {series}: {problem}"
+                for problem in _histogram_problems(
+                    buckets.get(key, []), sums.get(key), counts.get(key)
+                )
             )
+    return problems
+
+
+def _histogram_problems(
+    series: list[tuple[float, float]], total: float | None, count: float | None
+) -> list[str]:
+    """Problems of one histogram series: its (le, count) buckets, _sum, _count."""
+    if not series:
+        return ["no _bucket samples"]
+    problems = []
+    if total is None:
+        problems.append("missing _sum")
+    if count is None:
+        problems.append("missing _count")
+    les = [le for le, _ in series]
+    if les != sorted(les):
+        problems.append("buckets not in increasing le order")
+    if les[-1] != math.inf:
+        problems.append("missing the +Inf bucket")
+    values = [v for _, v in series]
+    if any(b < a for a, b in zip(values, values[1:])):
+        problems.append("bucket counts are not cumulative")
+    if les[-1] == math.inf and count is not None and values[-1] != count:
+        problems.append(f"+Inf bucket ({values[-1]:g}) != _count ({count:g})")
     return problems
 
 

@@ -139,7 +139,10 @@ def main(argv: list[str] | None = None) -> int:
         status, metrics = _request(port, "GET", "/metrics?format=json")
         _check(status == 200, "GET /metrics responds")
         _check(
-            all(metrics[f"m3d_scenario_requests_total_{n}"]["value"] >= 1 for n in names),
+            all(
+                metrics[f'm3d_scenario_requests_total{{scenario="{n}"}}']["value"] >= 1
+                for n in names
+            ),
             "per-scenario request counters advanced for every scenario",
         )
         print("scenario smoke: PASS")

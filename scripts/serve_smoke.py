@@ -138,13 +138,10 @@ def main(argv: list[str] | None = None) -> int:
 
         status, metrics, _ = _request(port, "GET", "/metrics?format=json")
         _check(status == 200, "GET /metrics responds")
-        stage_hists = [
-            "m3d_stage_contract_seconds", "m3d_stage_cache_lookup_seconds",
-            "m3d_stage_queue_wait_seconds", "m3d_stage_inference_seconds",
-        ]
+        stage_names = ("contract_gate", "cache_lookup", "queue_wait", "batch_infer")
         _check(
-            all(metrics[h]["count"] >= 1 for h in stage_hists),
-            "all four per-stage latency histograms recorded observations",
+            all(metrics[f'm3d_stage_seconds{{stage="{s}"}}']["count"] >= 1 for s in stage_names),
+            "all four m3d_stage_seconds series recorded observations",
         )
         _check(metrics["m3d_requests_total"]["value"] == 4, "request counter advanced to 4")
         _check(metrics["m3d_cache_hits_total"]["value"] == 1, "cache-hit counter advanced")

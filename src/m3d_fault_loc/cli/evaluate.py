@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from m3d_fault_loc.cli.train import _positive_int
+from m3d_fault_loc.cli.train import _positive_int, _seed
 from m3d_fault_loc.data.dataset import CircuitGraphDataset, GraphContractError
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.obs.telemetry import TelemetryWriter
@@ -38,7 +38,7 @@ from m3d_fault_loc.utils.seed import seed_everything
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--model", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_seed, default=1)
     parser.add_argument("--n-graphs", type=_positive_int, default=50)
     parser.add_argument("--n-gates", type=_positive_int, default=40)
     parser.add_argument("--n-inputs", type=_positive_int, default=6)
@@ -81,6 +81,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphContractError as exc:
         print(f"contract gate rejected the dataset: {exc}", file=sys.stderr)
         return 1
+    except FileNotFoundError as exc:  # --data-dir holds no graph files
+        print(exc, file=sys.stderr)
+        return 2
     # One forward pass per graph feeds every metric. Legacy hit@k on
     # fault_index stays unconditional — every scenario labels a primary
     # site — so downstream telemetry consumers keep their fields.

@@ -29,6 +29,7 @@ import sys
 import time
 from contextlib import nullcontext
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -161,30 +162,30 @@ def train(
     return model
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return n
+def _checked(
+    cast: Callable[[str], Any], ok: Callable[[Any], bool], rule: str
+) -> Callable[[str], Any]:
+    """An argparse type: ``cast`` the text, then require ``ok`` of the value."""
+
+    def parse(text: str) -> Any:
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid int value: ..." names it
+    return parse
 
 
-def _positive_finite(value: str) -> float:
-    f = float(value)
-    if not (math.isfinite(f) and f > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return f
-
-
-def _fraction(value: str) -> float:
-    f = float(value)
-    if not 0.0 < f < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
-    return f
+_positive_int = _checked(int, lambda n: n >= 1, ">= 1")
+_seed = _checked(int, lambda n: 0 <= n < 2**32, "in [0, 2**32)")
+_positive_finite = _checked(float, lambda f: math.isfinite(f) and f > 0.0, "finite and > 0")
+_fraction = _checked(float, lambda f: 0.0 < f < 1.0, "in (0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--n-graphs", type=_positive_int, default=200)
     parser.add_argument("--n-gates", type=_positive_int, default=40)
     parser.add_argument("--n-inputs", type=_positive_int, default=6)
@@ -239,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphContractError as exc:
         print(f"contract gate rejected the dataset: {exc}", file=sys.stderr)
         return 1
+    except FileNotFoundError as exc:  # --data-dir holds no graph files
+        print(exc, file=sys.stderr)
+        return 2
     for warning in dataset.warnings:
         print(f"contract warning: {warning.render()}", file=sys.stderr)
     if args.save_data_dir is not None:

@@ -1,16 +1,20 @@
 """Serving metrics: counters, gauges, and latency histograms.
 
 A deliberately tiny, dependency-free subset of the Prometheus client model:
-instruments are registered by name on a :class:`MetricsRegistry`, updated
-with per-instrument locks, and exported two ways — ``to_json_dict()`` for
-programmatic consumers and ``render_prometheus()`` for scrapers (text
-exposition format, cumulative histogram buckets with ``+Inf``).
+instruments are registered by name and optional fixed labels on a
+:class:`MetricsRegistry`, updated with per-instrument locks, and exported
+two ways — ``to_json_dict()`` for programmatic consumers (keyed by series
+id: the bare name, or ``name{k="v"}`` plus a ``"labels"`` field) and
+``render_prometheus()`` for scrapers (text exposition format, cumulative
+histogram buckets with ``+Inf``). All series of one name form a family
+with one kind and one help text.
 """
 
 from __future__ import annotations
 
+import re
 import threading
-from typing import Any
+from typing import Any, Mapping
 
 #: Default latency buckets in seconds (sub-ms to multi-second tail).
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
@@ -20,28 +24,63 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 #: Default buckets for batch-size style small-integer histograms.
 DEFAULT_SIZE_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
+_LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
+_LABEL_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", '"': '\\"'})
+
+#: A series' fixed labels as given, and as stored (sorted, validated).
+LabelMap = Mapping[str, str] | None
+Labels = tuple[tuple[str, str], ...]
+
 
 def _fmt(value: float) -> str:
     """Prometheus-friendly number formatting (integers without a dot)."""
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
-class Counter:
-    """Monotonically increasing count."""
+def _label_set(labels: LabelMap, reserved: str = "") -> Labels:
+    """Sorted ``(name, value)`` pairs, names checked against the Prometheus
+    grammar (``__``-prefixed names and ``reserved`` belong to the format)."""
+    pairs = tuple(sorted((labels or {}).items()))
+    for key, _ in pairs:
+        if not _LABEL_NAME_RE.fullmatch(key) or key.startswith("__") or key == reserved:
+            raise ValueError(f"invalid label name {key!r}")
+    return pairs
 
-    kind = "counter"
 
-    def __init__(self, name: str, help_text: str):
+def _series(name: str, labels: Labels) -> str:
+    """``name`` or ``name{k="v",...}`` with escaped values: a sample's prefix."""
+    if not labels:
+        return name
+    body = ",".join(f'{key}="{value.translate(_LABEL_ESCAPES)}"' for key, value in labels)
+    return f"{name}{{{body}}}"
+
+
+class _Instrument:
+    """Name, help text, fixed labels and the lock every instrument shares."""
+
+    kind = ""
+    #: A label name the instrument adds to its own samples.
+    reserved_label = ""
+
+    def __init__(self, name: str, help_text: str, labels: LabelMap = None):
         self.name = name
         self.help_text = help_text
-        self._value = 0.0
+        self.labels = _label_set(labels, self.reserved_label)
+        #: The series id: the sample prefix and the JSON export key.
+        self.series = _series(name, self.labels)
         self._lock = threading.Lock()
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
-        with self._lock:
-            self._value += amount
+    def _json(self, **fields: Any) -> dict[str, Any]:
+        out = {"type": self.kind, "help": self.help_text, **fields}
+        if self.labels:
+            out["labels"] = dict(self.labels)
+        return out
+
+
+class _Scalar(_Instrument):
+    """One float value behind the instrument lock."""
+
+    _value = 0.0
 
     @property
     def value(self) -> float:
@@ -49,22 +88,28 @@ class Counter:
             return self._value
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {"type": self.kind, "help": self.help_text, "value": self.value}
+        return self._json(value=self.value)
 
     def render_prometheus(self) -> list[str]:
-        return [f"{self.name} {_fmt(self.value)}"]
+        return [f"{self.series} {_fmt(self.value)}"]
 
 
-class Gauge:
+class Counter(_Scalar):
+    """Monotonically increasing count."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
+        with self._lock:
+            self._value += amount
+
+
+class Gauge(_Scalar):
     """Point-in-time value (queue depth, cache size)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help_text: str):
-        self.name = name
-        self.help_text = help_text
-        self._value = 0.0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -78,19 +123,8 @@ class Gauge:
         with self._lock:
             self._value -= amount
 
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"type": self.kind, "help": self.help_text, "value": self.value}
-
-    def render_prometheus(self) -> list[str]:
-        return [f"{self.name} {_fmt(self.value)}"]
-
-
-class StateGauge:
+class StateGauge(_Instrument):
     """One-hot enum gauge: exactly one of a fixed state set is 1 at a time.
 
     Renders Prometheus-idiomatically as one ``name{state="..."}`` series per
@@ -100,15 +134,16 @@ class StateGauge:
 
     kind = "state_gauge"
     prom_type = "gauge"
+    reserved_label = "state"
 
-    def __init__(self, name: str, help_text: str, states: tuple[str, ...]):
+    def __init__(
+        self, name: str, help_text: str, states: tuple[str, ...], labels: LabelMap = None
+    ):
         if not states or len(set(states)) != len(states):
             raise ValueError(f"state gauge {name} needs a non-empty, unique state set")
-        self.name = name
-        self.help_text = help_text
+        super().__init__(name, help_text, labels)
         self.states = tuple(states)
         self._state = self.states[0]
-        self._lock = threading.Lock()
 
     def set_state(self, state: str) -> None:
         if state not in self.states:
@@ -122,39 +157,35 @@ class StateGauge:
             return self._state
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "type": self.kind,
-            "help": self.help_text,
-            "state": self.state,
-            "states": list(self.states),
-        }
+        return self._json(state=self.state, states=list(self.states))
 
     def render_prometheus(self) -> list[str]:
         current = self.state
         return [
-            f'{self.name}{{state="{state}"}} {1 if state == current else 0}'
+            f"{_series(self.name, (*self.labels, ('state', state)))} {int(state == current)}"
             for state in self.states
         ]
 
 
-class Histogram:
+class Histogram(_Instrument):
     """Cumulative-bucket histogram with sum and count (Prometheus semantics)."""
 
     kind = "histogram"
+    reserved_label = "le"
 
-    def __init__(self, name: str, help_text: str, buckets: tuple[float, ...]):
+    def __init__(
+        self, name: str, help_text: str, buckets: tuple[float, ...], labels: LabelMap = None
+    ):
         # Strictly increasing, not merely sorted: a duplicate bound would
         # collapse two buckets onto one `le=` label and corrupt the
         # cumulative counts in both snapshot() and the text exposition.
         if not buckets or any(a >= b for a, b in zip(buckets, buckets[1:])):
             raise ValueError(f"histogram {name} needs strictly increasing, non-empty buckets")
-        self.name = name
-        self.help_text = help_text
+        super().__init__(name, help_text, labels)
         self.buckets = tuple(float(b) for b in buckets)
         self._bucket_counts = [0] * len(self.buckets)
         self._sum = 0.0
         self._count = 0
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         with self._lock:
@@ -169,11 +200,6 @@ class Histogram:
     def count(self) -> int:
         with self._lock:
             return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
 
     def percentile(self, q: float) -> float:
         """Bucket-interpolated percentile estimate (Prometheus-style).
@@ -237,7 +263,7 @@ class Histogram:
             self._count += snap["count"]
 
     @classmethod
-    def from_snapshot(cls, name: str, snap: dict[str, Any], help_text: str = "") -> Histogram:
+    def from_snapshot(cls, name: str, snap: dict[str, Any]) -> Histogram:
         """Rebuild a histogram from a :meth:`snapshot` (or ``/metrics`` JSON).
 
         Snapshots carry **cumulative** bucket counts; feeding those directly
@@ -251,7 +277,7 @@ class Histogram:
         bounds = tuple(float(key) for key in bucket_snap if key != "+Inf")
         if not bounds:
             raise ValueError(f"histogram snapshot for {name!r} has no finite buckets")
-        histogram = cls(name, help_text, buckets=bounds)
+        histogram = cls(name, "", buckets=bounds)
         per_bucket = histogram._per_bucket_counts(bucket_snap, bounds)
         histogram._bucket_counts = per_bucket
         histogram._sum = float(snap.get("sum", 0.0))
@@ -277,75 +303,87 @@ class Histogram:
         return per_bucket
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {"type": self.kind, "help": self.help_text, **self.snapshot()}
+        return self._json(**self.snapshot())
 
     def render_prometheus(self) -> list[str]:
         snap = self.snapshot()
         lines = [
-            f'{self.name}_bucket{{le="{bound}"}} {count}'
+            f"{_series(self.name + '_bucket', (*self.labels, ('le', bound)))} {count}"
             for bound, count in snap["buckets"].items()
         ]
-        lines.append(f"{self.name}_sum {_fmt(snap['sum'])}")
-        lines.append(f"{self.name}_count {snap['count']}")
+        lines.append(f"{_series(self.name + '_sum', self.labels)} {_fmt(snap['sum'])}")
+        lines.append(f"{_series(self.name + '_count', self.labels)} {snap['count']}")
         return lines
 
 
 class MetricsRegistry:
-    """Named instrument registry with JSON and Prometheus-text export.
+    """Instrument registry keyed by (name, labels), with JSON and
+    Prometheus-text export.
 
-    Registration is idempotent per name — asking for an existing instrument
-    returns it — but re-registering a name as a different instrument kind is
-    a programming error and raises.
+    Registration is idempotent per series, but a family keeps the kind and
+    help text it was first registered with: re-registering a name as another
+    kind or with another help text is a programming error and raises.
     """
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | StateGauge | Histogram] = {}
+        self._instruments: dict[tuple[str, Labels], _Instrument] = {}
+        self._families: dict[str, tuple[str, str]] = {}
         self._lock = threading.Lock()
 
-    def _register(self, name: str, factory, kind: str):
+    def _register(self, cls, name: str, help_text: str, labels: LabelMap, **kwargs):
+        key = (name, _label_set(labels, cls.reserved_label))
         with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if existing.kind != kind:
-                    raise ValueError(
-                        f"metric {name!r} already registered as {existing.kind}, not {kind}"
-                    )
-                return existing
-            instrument = factory()
-            self._instruments[name] = instrument
+            family = self._families.get(name, (cls.kind, help_text))
+            if family != (cls.kind, help_text):
+                raise ValueError(
+                    f"metric {name!r} already registered as {family}, not {(cls.kind, help_text)}"
+                )
+            instrument = self._instruments.get(key)
+            if instrument is None:
+                instrument = cls(name, help_text, labels=labels, **kwargs)
+                self._instruments[key] = instrument
+                self._families[name] = family
             return instrument
 
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        return self._register(name, lambda: Counter(name, help_text), "counter")
+    def counter(self, name: str, help_text: str = "", labels: LabelMap = None) -> Counter:
+        return self._register(Counter, name, help_text, labels)
 
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        return self._register(name, lambda: Gauge(name, help_text), "gauge")
+    def gauge(self, name: str, help_text: str = "", labels: LabelMap = None) -> Gauge:
+        return self._register(Gauge, name, help_text, labels)
 
     def state_gauge(
-        self, name: str, help_text: str = "", states: tuple[str, ...] = ()
+        self,
+        name: str,
+        help_text: str = "",
+        states: tuple[str, ...] = (),
+        labels: LabelMap = None,
     ) -> StateGauge:
-        return self._register(name, lambda: StateGauge(name, help_text, states), "state_gauge")
+        return self._register(StateGauge, name, help_text, labels, states=states)
 
     def histogram(
         self,
         name: str,
         help_text: str = "",
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
+        labels: LabelMap = None,
     ) -> Histogram:
-        return self._register(name, lambda: Histogram(name, help_text, buckets), "histogram")
+        return self._register(Histogram, name, help_text, labels, buckets=buckets)
 
     def to_json_dict(self) -> dict[str, Any]:
         with self._lock:
-            instruments = dict(self._instruments)
-        return {name: inst.to_json_dict() for name, inst in sorted(instruments.items())}
+            instruments = sorted(self._instruments.items())
+        return {inst.series: inst.to_json_dict() for _, inst in instruments}
 
     def render_prometheus(self) -> str:
         with self._lock:
-            instruments = dict(self._instruments)
+            instruments = sorted(self._instruments.items())  # grouped by family
         lines: list[str] = []
-        for name, inst in sorted(instruments.items()):
-            if inst.help_text:
-                lines.append(f"# HELP {name} {inst.help_text}")
-            lines.append(f"# TYPE {name} {getattr(inst, 'prom_type', inst.kind)}")
+        family = None
+        for (name, _), inst in instruments:
+            if name != family:
+                family = name
+                if inst.help_text:
+                    lines.append(f"# HELP {name} {inst.help_text}")
+                lines.append(f"# TYPE {name} {getattr(inst, 'prom_type', inst.kind)}")
             lines.extend(inst.render_prometheus())
         return "\n".join(lines) + "\n"

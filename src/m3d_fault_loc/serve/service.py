@@ -8,8 +8,8 @@ graph on a *bounded* thread-safe admission queue. Every request runs under a
 fault *scenario* (default ``single_delay``): the contract gate composes the
 structural rules with that scenario's M3D11x payload rules
 (:func:`~m3d_fault_loc.scenarios.build_scenario_engine`), results and
-cache keys are scenario-tagged, and per-scenario request/rejection counters
-land on ``/metrics``. An unknown scenario raises
+cache keys are scenario-tagged, and request/rejection counters carry a
+``scenario`` label on ``/metrics``. An unknown scenario raises
 :class:`~m3d_fault_loc.scenarios.UnknownScenarioError` (→ HTTP 422).
 
 **Batch worker.** One worker thread drains the queue into micro-batches
@@ -58,16 +58,16 @@ from typing import Any
 
 import numpy as np
 
-from m3d_fault_loc.analysis.engine import RuleEngine, default_engine
+from m3d_fault_loc.analysis.engine import RuleEngine
 from m3d_fault_loc.data.dataset import GraphContractError, gate_graph
-from m3d_fault_loc.scenarios import DEFAULT_SCENARIO, build_scenario_engine, get_scenario
+from m3d_fault_loc.scenarios import DEFAULT_SCENARIO, SCENARIOS, build_scenario_engine, get_scenario
 from m3d_fault_loc.graph.schema import CircuitGraph
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.obs.context import current_trace_id, new_trace_id
 from m3d_fault_loc.obs.logging import get_logger
 from m3d_fault_loc.obs.trace import Tracer
 from m3d_fault_loc.serve.cache import LRUResultCache, graph_digest
-from m3d_fault_loc.serve.metrics import DEFAULT_SIZE_BUCKETS, Histogram, MetricsRegistry
+from m3d_fault_loc.serve.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from m3d_fault_loc.serve.registry import ModelManifest, ModelRegistry
 from m3d_fault_loc.serve.resilience import (
     CircuitBreaker,
@@ -88,6 +88,9 @@ log = get_logger(__name__)
 _IDLE_POLL_S = 0.05
 #: How often the drain loop re-checks for an empty pipeline.
 _DRAIN_POLL_S = 0.005
+#: The replica's leaf trace spans; ``m3d_stage_seconds`` labels its series
+#: with the same names.
+STAGES = ("contract_gate", "cache_lookup", "queue_wait", "batch_infer")
 
 
 @dataclass(frozen=True)
@@ -193,11 +196,6 @@ class LocalizationService:
         self.watchdog_interval_s = watchdog_interval_s
         self.stall_timeout_s = stall_timeout_s
         self.drain_deadline_s = drain_deadline_s
-        self._engine = engine or default_engine()
-        #: Per-scenario contract engines, composed lazily from ``_engine``
-        #: (base structural rules + M3D110 tag rule + scenario M3D11x rules).
-        self._scenario_engines: dict[str, RuleEngine] = {}
-        self._scenario_lock = threading.Lock()
         self._cache = LRUResultCache(capacity=cache_size)
         # Worker and supervision state. ``_gen`` retires a superseded
         # thread, ``_heartbeat`` feeds stall detection, ``_in_flight`` is
@@ -269,18 +267,22 @@ class LocalizationService:
         self.m_latency = m.histogram(
             "m3d_request_latency_seconds", "end-to-end localization latency"
         )
-        self.m_stage_contract = m.histogram(
-            "m3d_stage_contract_seconds", "per-stage latency: m3dlint contract gate"
-        )
-        self.m_stage_cache = m.histogram(
-            "m3d_stage_cache_lookup_seconds", "per-stage latency: digest + result-cache lookup"
-        )
-        self.m_stage_queue = m.histogram(
-            "m3d_stage_queue_wait_seconds", "per-stage latency: admission-queue wait"
-        )
-        self.m_stage_infer = m.histogram(
-            "m3d_stage_inference_seconds", "per-stage latency: batched model forward pass"
-        )
+        self.m_stage = {
+            stage: m.histogram(
+                "m3d_stage_seconds", "per-stage latency by trace span", labels={"stage": stage}
+            )
+            for stage in STAGES
+        }
+        #: Per scenario: its contract engine (structural rules + M3D110 tag
+        #: rule + its own M3D11x rules) and its request/rejection counters.
+        self._scenarios = {}
+        for name in SCENARIOS:
+            labels = {"scenario": name}
+            self._scenarios[name] = (
+                build_scenario_engine(name, base_engine=engine),
+                m.counter("m3d_scenario_requests_total", "requests by scenario", labels),
+                m.counter("m3d_scenario_rejections_total", "gate rejections by scenario", labels),
+            )
 
         self._breaker = breaker or CircuitBreaker()
         self._breaker.set_transition_listener(self._on_breaker_transition)
@@ -329,40 +331,11 @@ class LocalizationService:
         emit("health_transition", old=old, new=new)
 
     def _observe_stage(
-        self,
-        stage: str,
-        histogram: Histogram,
-        trace_id: str,
-        duration_s: float,
-        parent: str | None = None,
-        **meta: Any,
+        self, stage: str, trace_id: str, duration_s: float, parent: str | None = None, **meta: Any
     ) -> None:
-        """One measured pipeline stage: feed the histogram and the trace."""
-        histogram.observe(duration_s)
+        """One measured pipeline stage: feed its histogram and the trace."""
+        self.m_stage[stage].observe(duration_s)
         self.tracer.record(trace_id, stage, duration_s, parent=parent, **meta)
-
-    # -- scenarios ---------------------------------------------------------
-
-    def _engine_for(self, scenario: str) -> RuleEngine:
-        """The contract engine gating ``scenario`` payloads, built once.
-
-        Raises :class:`~m3d_fault_loc.scenarios.UnknownScenarioError` for
-        unregistered names — the HTTP layer maps it to a structured 422.
-        """
-        engine = self._scenario_engines.get(scenario)
-        if engine is not None:
-            return engine
-        built = build_scenario_engine(scenario, base_engine=self._engine)
-        with self._scenario_lock:
-            return self._scenario_engines.setdefault(scenario, built)
-
-    def _count_scenario(self, scenario: str, outcome: str) -> None:
-        """Scenario-tagged counters (suffix-named: the metrics registry has
-        no label support, and registration by name is idempotent)."""
-        self.metrics.counter(
-            f"m3d_scenario_{outcome}_total_{scenario}",
-            f"localization {outcome} for scenario {scenario}",
-        ).inc()
 
     # -- model identity ----------------------------------------------------
 
@@ -573,7 +546,8 @@ class LocalizationService:
         deadline = Deadline.after(timeout_s if timeout_s is not None else self.request_timeout_s)
         trace_id = current_trace_id() or new_trace_id()
         self.m_requests.inc()
-        self._count_scenario(scenario_name, "requests")
+        _, scenario_requests, _ = self._scenarios[scenario_name]
+        scenario_requests.inc()
         with self.tracer.trace(
             "localize", trace_id=trace_id, graph=graph.name, scenario=scenario_name
         ):
@@ -600,27 +574,17 @@ class LocalizationService:
         await went.
         """
         t0 = time.perf_counter()
-        engine = self._engine_for(scenario)
+        engine, _, rejections = self._scenarios[scenario]
         try:
             warnings = gate_graph(graph, engine)
         except GraphContractError:
             self.m_rejections.inc()
-            self._count_scenario(scenario, "rejections")
-            self._observe_stage(
-                "contract_gate",
-                self.m_stage_contract,
-                trace_id,
-                time.perf_counter() - t0,
-                scenario=scenario,
-            )
+            rejections.inc()
             raise
-        self._observe_stage(
-            "contract_gate",
-            self.m_stage_contract,
-            trace_id,
-            time.perf_counter() - t0,
-            scenario=scenario,
-        )
+        finally:
+            self._observe_stage(
+                "contract_gate", trace_id, time.perf_counter() - t0, scenario=scenario
+            )
 
         t0 = time.perf_counter()
         self._maybe_reload()
@@ -629,11 +593,7 @@ class LocalizationService:
         key = f"{prefix}:{scenario}:{top_k}:{digest}"
         hit = self._cache.get(key)
         self._observe_stage(
-            "cache_lookup",
-            self.m_stage_cache,
-            trace_id,
-            time.perf_counter() - t0,
-            hit=hit is not None,
+            "cache_lookup", trace_id, time.perf_counter() - t0, hit=hit is not None
         )
         if hit is not None:
             self.m_cache_hits.inc()
@@ -700,13 +660,8 @@ class LocalizationService:
                     continue
                 dequeued = time.perf_counter()
                 for p in live:
-                    self._observe_stage(
-                        "queue_wait",
-                        self.m_stage_queue,
-                        p.trace_id,
-                        max(0.0, dequeued - p.enqueued_at),
-                        parent="await_result",
-                    )
+                    wait_s = max(0.0, dequeued - p.enqueued_at)
+                    self._observe_stage("queue_wait", p.trace_id, wait_s, parent="await_result")
                 # Gen-guarded: a worker superseded mid-batch by the watchdog
                 # must not clobber its replacement's in-flight record.
                 with self._flight_lock:
@@ -768,7 +723,7 @@ class LocalizationService:
                 p.fail(exc)
             return
         infer_s = time.perf_counter() - t0
-        self.m_stage_infer.observe(infer_s)
+        self.m_stage["batch_infer"].observe(infer_s)
         for p in batch:
             self.tracer.record(
                 p.trace_id, "batch_infer", infer_s, parent="await_result", batch=len(batch)

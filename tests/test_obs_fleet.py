@@ -21,10 +21,25 @@ def metrics_payload(
     histogram = registry.histogram(
         "m3d_request_latency_seconds", "latency", buckets=BUCKETS
     )
+    stage = registry.histogram(
+        "m3d_stage_seconds", "per stage", buckets=BUCKETS, labels={"stage": "batch_infer"}
+    )
     for value in latencies or ():
         histogram.observe(value)
+        stage.observe(value)
+    for scenario, n in (("single_delay", requests), ("seu_bitflip", errors)):
+        registry.counter(
+            "m3d_scenario_requests_total", "by scenario", labels={"scenario": scenario}
+        ).inc(n)
     registry.state_gauge("m3d_health", "health", states=("ok", "draining"))
     return registry.to_json_dict()
+
+
+LABELLED_COUNTERS = (
+    'm3d_scenario_requests_total{scenario="single_delay"}',
+    'm3d_scenario_requests_total{scenario="seu_bitflip"}',
+)
+LABELLED_HISTOGRAM = 'm3d_stage_seconds{stage="batch_infer"}'
 
 
 @pytest.fixture
@@ -75,12 +90,19 @@ def test_scrape_merged_equals_individual_sums(two_stubs):
     assert snapshot["reachable"] == 2
 
     by_addr = {r["replica"]: r for r in snapshot["replicas"]}
-    for name in ("m3d_requests_total", "m3d_request_errors_total"):
+    for name in ("m3d_requests_total", "m3d_request_errors_total", *LABELLED_COUNTERS):
         individual = sum(
             by_addr[addr]["metrics"][name]["value"] for addr in (a.key, b.key)
         )
         assert snapshot["merged"][name]["value"] == individual
     assert snapshot["merged"]["m3d_request_latency_seconds"]["count"] == 6
+    # labelled series merge by (name, labels): bucket by bucket, per replica
+    per_replica = [by_addr[addr]["metrics"][LABELLED_HISTOGRAM] for addr in (a.key, b.key)]
+    merged = snapshot["merged"][LABELLED_HISTOGRAM]
+    assert merged["count"] == 6
+    assert merged["buckets"] == {
+        bound: sum(p["buckets"][bound] for p in per_replica) for bound in merged["buckets"]
+    }
 
 
 def test_scrape_reports_degraded_when_member_down(two_stubs):

@@ -251,19 +251,30 @@ def test_top_level_stage_durations_sum_to_total_within_10pct(live, graphs):
 
 
 def test_per_stage_histograms_exposed_on_metrics(live, graphs):
+    # One vocabulary: the `stage` labels of m3d_stage_seconds are exactly
+    # the leaf spans of a cache miss's trace (await_result only groups).
     server = live()
-    request_raw(server.port, "POST", "/localize", {"graph": graphs[0].to_json_dict()})
+    body = {"graph": graphs[0].to_json_dict()}
+    _, miss, _ = request_raw(server.port, "POST", "/localize", body)
+    _, hit, _ = request_raw(server.port, "POST", "/localize", body)
+    assert (miss["cached"], hit["cached"]) == (False, True)
+    _, debug, _ = request_raw(server.port, "GET", "/debug/traces")
+    spans = {t["trace_id"]: t for t in debug["traces"]}[miss["trace_id"]]["spans"]
+    leaf_stages = {s["stage"] for s in spans} - {s.get("parent") for s in spans}
+    assert leaf_stages == {"contract_gate", "cache_lookup", "queue_wait", "batch_infer"}
+
     _, metrics, _ = request_raw(server.port, "GET", "/metrics?format=json")
-    for name in (
-        "m3d_stage_contract_seconds",
-        "m3d_stage_cache_lookup_seconds",
-        "m3d_stage_queue_wait_seconds",
-        "m3d_stage_inference_seconds",
-    ):
-        assert metrics[name]["type"] == "histogram"
-        assert metrics[name]["count"] >= 1
+    counts = {
+        inst["labels"]["stage"]: inst["count"]
+        for key, inst in metrics.items()
+        if key.partition("{")[0] == "m3d_stage_seconds"
+    }
+    assert set(counts) == leaf_stages
+    assert counts == {"contract_gate": 2, "cache_lookup": 2, "queue_wait": 1, "batch_infer": 1}
+    assert metrics['m3d_stage_seconds{stage="batch_infer"}']["type"] == "histogram"
     _, prom, _ = request_raw(server.port, "GET", "/metrics")
-    assert "m3d_stage_inference_seconds_bucket" in prom
+    assert 'm3d_stage_seconds_bucket{stage="batch_infer",le="+Inf"} 1' in prom
+    assert prom.count("# TYPE m3d_stage_seconds histogram") == 1
 
 
 # -- context isolation under concurrency -----------------------------------

@@ -141,3 +141,34 @@ def test_lint_rules_lists_scenario_family(capsys):
     out = capsys.readouterr().out
     for rule_id in ("M3D110", "M3D111", "M3D112", "M3D113", "M3D114", "M3D115", "M3D209"):
         assert rule_id in out, rule_id
+
+
+def _cli_argv(cli, trained_model, tmp_path):
+    if cli is evaluate_cli:
+        return ["--model", str(trained_model)]
+    return ["--out", str(tmp_path / "never_written.npz")]
+
+
+@pytest.mark.parametrize("cli", [train_cli, evaluate_cli], ids=["train", "evaluate"])
+@pytest.mark.parametrize("seed", ["-1", str(2**32)])
+def test_out_of_range_seed_is_a_usage_error(trained_model, tmp_path, capsys, cli, seed):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*_cli_argv(cli, trained_model, tmp_path), "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --seed: must be in [0, 2**32), got {seed}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cli", [train_cli, evaluate_cli], ids=["train", "evaluate"])
+@pytest.mark.parametrize("exists", [True, False], ids=["empty", "missing"])
+def test_data_dir_without_graphs_is_one_line_and_exit_2(
+    trained_model, tmp_path, capsys, cli, exists
+):
+    data = tmp_path / "graphs"
+    if exists:
+        data.mkdir()
+    rc = cli.main([*_cli_argv(cli, trained_model, tmp_path), "--data-dir", str(data)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"no graph files under {data}\n"
+    assert not (tmp_path / "never_written.npz").exists()

@@ -62,7 +62,9 @@ def test_every_scenario_round_trips_over_http(live_server):
     status, metrics = request(live_server, "GET", "/metrics?format=json")
     assert status == 200
     for name in scenario_names():
-        assert metrics[f"m3d_scenario_requests_total_{name}"]["value"] == 1
+        series = metrics[f'm3d_scenario_requests_total{{scenario="{name}"}}']
+        assert series["value"] == 1
+        assert series["labels"] == {"scenario": name}
 
 
 def test_omitted_scenario_defaults_to_single_delay(live_server):
@@ -98,7 +100,7 @@ def test_cross_tagged_graph_is_422_contract_violation(live_server):
     assert any(v["rule_id"] == "M3D110" for v in body["violations"])
 
     status, metrics = request(live_server, "GET", "/metrics?format=json")
-    assert metrics["m3d_scenario_rejections_total_aging_drift"]["value"] == 1
+    assert metrics['m3d_scenario_rejections_total{scenario="aging_drift"}']["value"] == 1
 
 
 def test_non_string_scenario_is_400(live_server):

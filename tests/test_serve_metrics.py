@@ -225,3 +225,87 @@ def test_check_prom_catches_broken_expositions():
         for p in check_exposition('# TYPE m3d_g histogram\nm3d_g_bucket{le="1"} 0\n'
                                   "m3d_g_sum 0\nm3d_g_count 0\n")
     )
+
+
+# -- labelled series ---------------------------------------------------------
+
+
+def test_labelled_series_share_one_family():
+    m = MetricsRegistry()
+    a = m.histogram("m3d_stage_seconds", "per stage", buckets=(0.1,), labels={"stage": "a"})
+    b = m.histogram("m3d_stage_seconds", "per stage", buckets=(0.1,), labels={"stage": "b"})
+    assert a is not b
+    assert m.histogram("m3d_stage_seconds", "per stage", labels={"stage": "a"}) is a
+    a.observe(0.05)
+    b.observe(5.0)
+    text = m.render_prometheus()
+    assert text.count("# HELP m3d_stage_seconds per stage") == 1
+    assert text.count("# TYPE m3d_stage_seconds histogram") == 1
+    assert 'm3d_stage_seconds_bucket{stage="a",le="0.1"} 1' in text
+    assert 'm3d_stage_seconds_bucket{stage="b",le="+Inf"} 1' in text
+    assert 'm3d_stage_seconds_count{stage="b"} 1' in text
+    assert check_exposition(text) == []
+
+
+def test_family_keeps_one_kind_and_one_help_text():
+    m = MetricsRegistry()
+    m.counter("m3d_by_total", "by scenario", labels={"scenario": "a"})
+    with pytest.raises(ValueError, match="already registered"):
+        m.gauge("m3d_by_total", "by scenario", labels={"scenario": "b"})
+    with pytest.raises(ValueError, match="already registered"):
+        m.counter("m3d_by_total", "something else", labels={"scenario": "b"})
+
+
+def test_json_export_keys_labelled_series_by_id():
+    m = MetricsRegistry()
+    m.counter("m3d_plain_total").inc()
+    m.counter("m3d_by_total", labels={"scenario": "a"}).inc(2)
+    m.state_gauge("m3d_state", states=("up", "down"), labels={"replica": "r1"})
+    payload = m.to_json_dict()
+    assert payload["m3d_plain_total"] == {"type": "counter", "help": "", "value": 1}
+    assert payload['m3d_by_total{scenario="a"}'] == {
+        "type": "counter", "help": "", "value": 2, "labels": {"scenario": "a"},
+    }
+    state = payload['m3d_state{replica="r1"}']
+    assert (state["state"], state["labels"]) == ("up", {"replica": "r1"})
+    assert 'm3d_state{replica="r1",state="up"} 1' in m.render_prometheus()
+
+
+@pytest.mark.parametrize("name", ["1st", "a-b", "__reserved", ""])
+def test_label_names_follow_the_prometheus_grammar(name):
+    with pytest.raises(ValueError, match="invalid label name"):
+        MetricsRegistry().counter("m3d_x_total", labels={name: "v"})
+
+
+def test_instruments_refuse_the_label_they_render_themselves():
+    with pytest.raises(ValueError, match="invalid label name"):
+        MetricsRegistry().histogram("m3d_h", labels={"le": "1"})
+    with pytest.raises(ValueError, match="invalid label name"):
+        MetricsRegistry().state_gauge("m3d_s", states=("a",), labels={"state": "a"})
+
+
+def test_label_values_are_escaped():
+    m = MetricsRegistry()
+    m.counter("m3d_x_total", labels={"path": 'a\\b"c\nd'}).inc()
+    text = m.render_prometheus()
+    assert 'm3d_x_total{path="a\\\\b\\"c\\nd"} 1' in text
+    assert check_exposition(text) == []
+
+
+def test_check_prom_checks_histograms_per_series():
+    two_series = (
+        "# TYPE m3d_s histogram\n"
+        'm3d_s_bucket{stage="a",le="0.1"} 1\n'
+        'm3d_s_bucket{stage="a",le="+Inf"} 2\n'
+        'm3d_s_sum{stage="a"} 1\n'
+        'm3d_s_count{stage="a"} 2\n'
+        'm3d_s_bucket{stage="b",le="0.1"} 0\n'
+        'm3d_s_bucket{stage="b",le="+Inf"} 1\n'
+        'm3d_s_sum{stage="b"} 1\n'
+        'm3d_s_count{stage="b"} 1\n'
+    )
+    assert check_exposition(two_series) == []
+    broken = two_series.replace('stage="b",le="0.1"} 0', 'stage="b",le="0.1"} 5')
+    assert check_exposition(broken) == [
+        'histogram m3d_s{stage="b"}: bucket counts are not cumulative'
+    ]
