@@ -94,10 +94,12 @@ def train(
     optimizer = Adam(model.flat, lr=lr)
     # One flat gradient buffer; ``grads`` are its per-parameter views, which
     # clipping and the telemetry norm read exactly as they read a dict. Each
-    # graph's gradient lands in ``scratch``, laid out the same way.
+    # graph's gradient lands in ``scratch``, laid out the same way, and its
+    # share of the minibatch mean in ``share``.
     grad_flat = np.zeros_like(model.flat)
     grads = model.views(grad_flat)
     scratch = np.empty_like(model.flat)
+    share = np.empty_like(model.flat)
     # Built the first time epoch 0 reaches each graph, inside data_gen.
     examples: list[TrainingExample | None] = [None] * len(dataset)
     with profiler if profiler is not None else nullcontext():
@@ -121,7 +123,7 @@ def train(
                             f"({dataset[i].name}); lower --lr or pass --clip-norm"
                         )
                     total_loss += loss
-                    grad_flat += scratch / len(batch)
+                    grad_flat += np.divide(scratch, len(batch), out=share)
                 with phase("optimizer_step"):
                     if clip_norm is not None:
                         norm = clip_by_global_norm(grads, clip_norm)

@@ -1,4 +1,5 @@
-"""Cached CSR aggregation operators for the localizer hot path.
+"""Cached CSR aggregation operators for the localizer hot path, and the one
+call into scipy's CSR kernel that applies them.
 
 The localizer's forward pass is dominated by two costs: the sparse
 in-neighbor-mean operator build (in-degree scatter, COO assembly, CSR
@@ -15,7 +16,16 @@ the feature matrix does — so this module makes them cacheable:
   operator by *segment-offset concatenation* of the cached per-graph CSR
   arrays — same nonzeros in the same row-major order as
   ``sp.block_diag(..., format="csr")``, so batched matvecs produce
-  bit-identical floats, without the COO round-trip.
+  bit-identical floats, without the COO round-trip;
+- :func:`aggregate` and :func:`aggregate_transpose` apply an operator and
+  its transpose to a dense block by calling ``csr_matvecs`` /
+  ``csc_matvecs`` from ``scipy.sparse._sparsetools`` directly, into a
+  caller-owned buffer. That is the call ``m @ h`` and ``m.T @ h`` end in,
+  so the floats are the same; what is skipped is scipy's dispatch, the copy
+  of a strided input and the fresh zeroed result (on a 2-core Xeon, a
+  contiguous ``(129, 32)`` ``m @ h`` took 6.5 µs, the kernel 3.4 µs). It is
+  the only module that touches the private ``_sparsetools``
+  (``tests/test_import_footprint.py``).
 
 Exactness matters: the serving stack promises ``node_scores_batch`` equals
 ``node_scores`` to the last ulp, and that promise survives precisely
@@ -32,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from m3d_fault_loc.graph.schema import CircuitGraph
 
@@ -55,6 +66,49 @@ def build_in_neighbor_mean(graph: CircuitGraph) -> sp.csr_matrix:
     m = sp.csr_matrix((1.0 / indeg[dst], (dst, src)), shape=(n, n))
     m.sort_indices()
     return m
+
+
+def aggregate(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = m @ x`` for a CSR operator ``m``; returns ``out``.
+
+    ``out`` must be a C-contiguous float64 ``(m.shape[0], x.shape[1])``
+    array; it is zeroed, then the kernel accumulates into it. ``x`` is read
+    as scipy reads it (a strided or float32 ``x`` is copied or cast on the
+    way in, so pass float64 C-contiguous features to avoid the temporary).
+    """
+    _check_product(m.shape[1], m.shape[0], x, out)
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(
+        m.shape[0], m.shape[1], x.shape[1], m.indptr, m.indices, m.data, x.ravel(), out.ravel()
+    )
+    return out
+
+
+def aggregate_transpose(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = m.T @ x``: :func:`aggregate` for the transpose, reading
+    ``m``'s CSR arrays as the CSC arrays of ``m.T`` (what ``m.T`` holds)."""
+    _check_product(m.shape[0], m.shape[1], x, out)
+    out.fill(0.0)
+    _sparsetools.csc_matvecs(
+        m.shape[1], m.shape[0], x.shape[1], m.indptr, m.indices, m.data, x.ravel(), out.ravel()
+    )
+    return out
+
+
+def _check_product(inner: int, rows: int, x: np.ndarray, out: np.ndarray) -> None:
+    """The kernel writes through raw pointers and checks no sizes: refuse a
+    mismatched shape, or an ``out`` whose ``ravel()`` would be a copy."""
+    if (
+        x.ndim != 2
+        or x.shape[0] != inner
+        or out.shape != (rows, x.shape[1])
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"aggregate: operator needs x of {inner} rows and a C-contiguous float64 out of "
+            f"shape ({rows}, k); got x {x.shape}, out {out.shape} {out.dtype}"
+        )
 
 
 def topology_digest(graph: CircuitGraph) -> str:

@@ -22,6 +22,18 @@ slice of a flat gradient buffer. The head is the ``(h + 1, 1)`` view
 ``[w3; b3]``. Past a few hundred rows the forward product runs in row blocks
 so BLAS keeps it on one thread (:func:`_single_thread_matmul`); each row is
 the same floats either way.
+
+Forward and backward allocate no ``(N, h)`` arrays. Every intermediate
+(the float64 features, both layer inputs, pre-activations, activations,
+neighbour blocks, masks and backward deltas) lives in one per-thread
+:class:`_Workspace`, written with ``out=``; only the ``(N,)`` logits are
+fresh, because :meth:`DelayFaultLocalizer.node_scores` hands them out.
+Aggregation is :func:`~m3d_fault_loc.model.aggregate.aggregate` and its
+transpose twin, scipy's own CSR kernel called into the workspace, so the
+floats are those of ``m @ h`` and ``m.T @ h``. A fresh temporary over
+glibc's 128 KiB mmap threshold costs minor page faults on every forward,
+and on a 129-node graph scipy's dispatch around the kernel cost about as
+much as the kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +51,11 @@ import scipy.sparse as sp
 from numpy.lib.npyio import NpzFile
 
 from m3d_fault_loc.graph.schema import FEATURE_COLUMNS, CircuitGraph
-from m3d_fault_loc.model.aggregate import AggregationOperatorCache
+from m3d_fault_loc.model.aggregate import (
+    AggregationOperatorCache,
+    aggregate,
+    aggregate_transpose,
+)
 from m3d_fault_loc.obs.profile import phase
 
 
@@ -50,15 +66,56 @@ class ModelArtifactError(ValueError):
 class TrainingExample(NamedTuple):
     """One labelled graph with its topology work done once per training run.
 
-    ``x`` is the graph's own feature array (no float64 copy is held), ``m``
-    the cached aggregation operator and ``mt`` its transpose — a CSC view
-    over ``m``'s arrays, so it costs no array memory.
+    ``x`` is the graph's own feature array (no float64 copy is held) and
+    ``m`` the cached aggregation operator; the backward applies its
+    transpose straight from ``m``'s arrays.
     """
 
     x: np.ndarray
     m: sp.csr_matrix
-    mt: sp.csc_matrix
     fault_index: int
+
+
+class _Workspace:
+    """One thread's forward and backward arrays for graphs of up to
+    :attr:`capacity` nodes, one per annotation below. Each is the first
+    ``n`` rows of a C-contiguous array, so each is itself C-contiguous (what
+    the aggregation kernel and ``out=`` GEMMs need); :meth:`cut` re-slices
+    them for another ``n``. The layer inputs' bias columns are set to 1 once.
+    """
+
+    x: np.ndarray  # the features as float64
+    mx: np.ndarray
+    z1: np.ndarray  # [x | m @ x | 1]
+    a1: np.ndarray
+    h1: np.ndarray
+    mh1: np.ndarray
+    z2: np.ndarray  # [h1 | m @ h1 | 1]
+    a2: np.ndarray
+    h2: np.ndarray
+    da2: np.ndarray
+    dz2: np.ndarray
+    dz2_nb: np.ndarray  # the neighbour half of dz2, contiguous for the kernel
+    da1: np.ndarray
+    mask1: np.ndarray
+    mask2: np.ndarray
+
+    def __init__(self, capacity: int, d: int, h: int):
+        self.capacity = capacity
+        width = {"x": d, "mx": d, "z1": 2 * d + 1, "z2": 2 * h + 1, "dz2": 2 * h}
+        self._full = {
+            name: np.empty(
+                (capacity, width.get(name, h)), dtype=bool if name.startswith("mask") else float
+            )
+            for name in _Workspace.__annotations__
+        }
+        self._full["z1"][:, -1] = self._full["z2"][:, -1] = 1.0
+        self.cut(capacity)
+
+    def cut(self, n: int) -> None:
+        self.n = n
+        for name, full in self._full.items():
+            setattr(self, name, full[:n])
 
 
 class DelayFaultLocalizer:
@@ -108,7 +165,7 @@ class DelayFaultLocalizer:
                 self.params[key][...] = glorot(*shape)
 
         self._theta = self._layer_views(self.flat)
-        # Per-thread layer-input buffers (see _layer_inputs).
+        # Per-thread forward/backward arrays (see _workspace).
         self._buffers = threading.local()
         # (buffer, layer views, per-key views) of the last gradient buffer
         # loss_and_grads wrote: train() passes the same one for every graph.
@@ -182,43 +239,46 @@ class DelayFaultLocalizer:
     def _forward(self, graph: CircuitGraph):
         return self._forward_arrays(graph.x, self.agg_cache.get_or_build(graph))
 
-    def _layer_inputs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """This thread's ``(n, 2d + 1)`` and ``(n, 2h + 1)`` layer inputs, bias
-        columns already 1; valid until the thread's next forward.
+    def _workspace(self, n: int) -> _Workspace:
+        """This thread's workspace cut to ``n`` rows; valid until the
+        thread's next forward.
 
         Reused rather than allocated per forward: a 480-gate graph's ``z2``
         (492 x 65 float64, 250 KiB) is over glibc's 128 KiB mmap threshold, and a fresh one
-        cost ~120 minor page faults per forward, doubling its time. A buffer
-        is kept while it has ``n`` to ``2n`` rows, so one huge graph does
-        not pin its size for the life of the thread.
+        cost ~120 minor page faults per forward, doubling its time. A
+        workspace is kept while it has ``n`` to ``2n`` rows, so one huge
+        graph does not pin its size for the life of the thread.
         """
-        bufs = self._buffers
-        z1 = getattr(bufs, "z1", None)
-        if z1 is None or not n <= len(z1) <= 2 * n:
-            bufs.z1 = z1 = np.empty((n, 2 * self.in_dim + 1))
-            bufs.z2 = np.empty((n, 2 * self.hidden + 1))
-            z1[:, -1] = bufs.z2[:, -1] = 1.0
-        return z1[:n], bufs.z2[:n]
+        ws = getattr(self._buffers, "ws", None)
+        if ws is None or not n <= ws.capacity <= 2 * n:
+            ws = self._buffers.ws = _Workspace(n, self.in_dim, self.hidden)
+        elif ws.n != n:
+            ws.cut(n)
+        return ws
 
-    def _forward_arrays(self, x: np.ndarray, m: sp.csr_matrix):
+    def _forward_arrays(self, x: np.ndarray, m: sp.csr_matrix) -> tuple[np.ndarray, _Workspace]:
         """Logits for features ``x`` (any float dtype, read as float64) over
-        operator ``m``, plus what the backward needs."""
+        operator ``m``, plus the workspace holding what the backward needs."""
         theta1, theta2, head = self._theta
         d, h = self.in_dim, self.hidden
-        z1, z2 = self._layer_inputs(x.shape[0])
-        z1[:, :d] = x
-        z1[:, d:-1] = m @ z1[:, :d]
-        a1 = _single_thread_matmul(z1, theta1)
-        h1 = np.maximum(a1, 0.0, out=z2[:, :h])
-        z2[:, h:-1] = m @ h1
-        a2 = _single_thread_matmul(z2, theta2)
-        h2 = np.maximum(a2, 0.0)
+        ws = self._workspace(x.shape[0])
+        # Cast once here: handed float32, the kernel casts into a temporary.
+        ws.x[...] = x
+        ws.z1[:, :d] = ws.x
+        ws.z1[:, d:-1] = aggregate(m, ws.x, ws.mx)
+        _single_thread_matmul(ws.z1, theta1, ws.a1)
+        np.maximum(ws.a1, 0.0, out=ws.h1)
+        ws.z2[:, :h] = ws.h1
+        ws.z2[:, h:-1] = aggregate(m, ws.h1, ws.mh1)
+        _single_thread_matmul(ws.z2, theta2, ws.a2)
+        np.maximum(ws.a2, 0.0, out=ws.h2)
         # The head is an (N, h) @ (h, 1) product; BLAS picks N-dependent gemv
         # strategies whose last-ulp rounding would break the exact
         # single-vs-batch parity promised by node_scores_batch. einsum keeps
         # a fixed per-row accumulation order regardless of N.
-        logits = (np.einsum("nh,ho->no", h2, head[:-1]) + head[-1]).ravel()
-        return logits, (z1, a1, z2, a2, h2)
+        logits = np.einsum("nh,ho->no", ws.h2, head[:-1])
+        logits += head[-1]
+        return logits.ravel(), ws
 
     # -- training ---------------------------------------------------------
 
@@ -226,8 +286,7 @@ class DelayFaultLocalizer:
         """The per-graph topology work of :meth:`loss_and_grads`, done once."""
         if graph.fault_index is None:
             raise ValueError(f"graph {graph.name!r} has no fault label")
-        m = self.agg_cache.get_or_build(graph)
-        return TrainingExample(graph.x, m, m.T, graph.fault_index)
+        return TrainingExample(graph.x, self.agg_cache.get_or_build(graph), graph.fault_index)
 
     def loss_and_grads(
         self, graph: CircuitGraph | TrainingExample, out: np.ndarray | None = None
@@ -238,6 +297,7 @@ class DelayFaultLocalizer:
         builds each example once per run). Returns ``(loss, grads)`` with
         grads keyed like :attr:`params`: views of ``out``, a float64 vector
         laid out like :attr:`flat` that is overwritten, or of a fresh one.
+        Calls with the same ``out`` return the same dict object.
         """
         ex = graph if isinstance(graph, TrainingExample) else self.example(graph)
         if out is None:
@@ -245,7 +305,7 @@ class DelayFaultLocalizer:
         # The phase() brackets are free when no profiler is active (shared
         # null context manager), so they live here unconditionally.
         with phase("forward"):
-            logits, (z1, a1, z2, a2, h2) = self._forward_arrays(ex.x, ex.m)
+            logits, ws = self._forward_arrays(ex.x, ex.m)
 
         with phase("backward"):
             dz = logits - logits.max()
@@ -259,18 +319,20 @@ class DelayFaultLocalizer:
                 self._grad_views = (out, self._layer_views(out), self.views(out))
             _, (g1, g2, g_head), grads = self._grad_views
             h = self.hidden
-            np.matmul(h2.T, dz[:, None], out=g_head[:-1])
+            np.matmul(ws.h2.T, dz[:, None], out=g_head[:-1])
             g_head[-1] = dz.sum()
-            da2 = dz[:, None] * head[:-1].T
-            da2 *= a2 > 0
-            np.matmul(z2.T, da2, out=g2)
+            da2 = np.multiply(dz[:, None], head[:-1].T, out=ws.da2)
+            da2 *= np.greater(ws.a2, 0.0, out=ws.mask2)
+            np.matmul(ws.z2.T, da2, out=g2)
             # Back through [h1 | m @ h1]: the self block directly, the
             # neighbour block through the operator's transpose.
-            dz2 = da2 @ theta2[:-1].T
-            da1 = dz2[:, :h] + ex.mt @ dz2[:, h:]
-            da1 *= a1 > 0
-            np.matmul(z1.T, da1, out=g1)
-        return loss, dict(grads)
+            dz2 = np.matmul(da2, theta2[:-1].T, out=ws.dz2)
+            ws.dz2_nb[...] = dz2[:, h:]
+            da1 = aggregate_transpose(ex.m, ws.dz2_nb, ws.da1)
+            da1 += dz2[:, :h]  # IEEE addition commutes: the floats of self + neighbour
+            da1 *= np.greater(ws.a1, 0.0, out=ws.mask1)
+            np.matmul(ws.z1.T, da1, out=g1)
+        return loss, grads
 
     # -- persistence ------------------------------------------------------
 
@@ -362,14 +424,13 @@ class DelayFaultLocalizer:
 _GEMM_MNK_LIMIT = 500_000
 
 
-def _single_thread_matmul(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``z @ theta`` in row blocks small enough that BLAS keeps each on one
-    thread. Each row's dot products are the same in any block, so the result
-    is the same floats as one product."""
+def _single_thread_matmul(z: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = z @ theta`` in row blocks small enough that BLAS keeps
+    each on one thread. Each row's dot products are the same in any block,
+    so the result is the same floats as one product."""
     rows = max(1, _GEMM_MNK_LIMIT // (z.shape[1] * theta.shape[1]))
     if len(z) <= rows:
-        return z @ theta
-    out = np.empty((len(z), theta.shape[1]))
+        return np.matmul(z, theta, out=out)
     for start in range(0, len(z), rows):
         np.matmul(z[start : start + rows], theta, out=out[start : start + rows])
     return out

@@ -34,7 +34,12 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam over one flat parameter vector, updated in place."""
+    """Adam over one flat parameter vector, updated in place.
+
+    Each step runs the textbook expression's operations in their usual
+    order, writing every temporary into two buffers kept for the life of the
+    optimizer, so it allocates nothing and gives the same floats.
+    """
 
     def __init__(
         self,
@@ -50,14 +55,21 @@ class Adam:
         self.t = 0
         self._m = np.zeros_like(params)
         self._v = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
 
     def step(self, grads: np.ndarray) -> None:
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        m, v = self._m, self._v
+        m, v, num, den = self._m, self._v, self._num, self._den
         m *= self.beta1
-        m += (1.0 - self.beta1) * grads
+        m += np.multiply(1.0 - self.beta1, grads, out=num)
         v *= self.beta2
-        v += (1.0 - self.beta2) * np.square(grads)
-        self.params -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        v += np.multiply(1.0 - self.beta2, np.square(grads, out=num), out=num)
+        # params -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.multiply(self.lr, np.divide(m, bias1, out=num), out=num)
+        np.sqrt(np.divide(v, bias2, out=den), out=den)
+        den += self.eps
+        num /= den
+        self.params -= num

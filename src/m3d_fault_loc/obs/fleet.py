@@ -146,12 +146,19 @@ class FleetScraper:
 
     @staticmethod
     def merge_metrics(replicas: Sequence[dict[str, Any]]) -> dict[str, Any]:
-        """Sum counters/gauges and bucket-merge histograms across replicas."""
+        """Sum counters/gauges and bucket-merge histograms across replicas.
+
+        Series merge by id (name plus labels); a labelled series keeps its
+        ``"labels"`` object, as in each replica's own export.
+        """
         merged: dict[str, Any] = {}
         histograms: dict[str, Histogram] = {}
+        labels: dict[str, Any] = {}
         for entry in replicas:
             for name, inst in entry.get("metrics", {}).items():
                 kind = inst.get("type")
+                if "labels" in inst:
+                    labels.setdefault(name, inst["labels"])
                 if kind in ("counter", "gauge"):
                     if name not in merged:
                         merged[name] = {"type": kind, "value": 0.0}
@@ -176,6 +183,9 @@ class FleetScraper:
                 "p50_ms": round(histogram.percentile(50.0) * 1e3, 3),
                 "p99_ms": round(histogram.percentile(99.0) * 1e3, 3),
             }
+        for name, series_labels in labels.items():
+            if name in merged:
+                merged[name]["labels"] = series_labels
         return dict(sorted(merged.items()))
 
     def scrape(self) -> dict[str, Any]:

@@ -8,11 +8,13 @@ drags its siblings in; ``scenarios`` is the one exception, because its
 ``__init__`` re-exports the scenario table and its API.
 
 Each check runs in a fresh interpreter: the test process itself has long
-since imported everything.
+since imported everything. The last one reads the source instead: scipy's
+private ``_sparsetools`` kernels may be called from one module only.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -85,3 +87,32 @@ def test_package_init_binds_no_public_names(package):
         )
     )
     assert public == [], f"{package}/__init__.py binds {public}; import from the submodule"
+
+
+#: The one module allowed to call scipy's private CSR kernels. scipy may
+#: move them in any release; one caller is one place to follow it, and the
+#: model tests pin its output to scipy's public products.
+SPARSETOOLS_OWNER = PACKAGE_DIR / "model" / "aggregate.py"
+
+
+def _imports_sparsetools(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("_sparsetools" in name.split(".") for name in names):
+            return True
+    return False
+
+
+def test_only_the_aggregation_module_imports_sparsetools():
+    importers = sorted(
+        str(path.relative_to(SRC_DIR))
+        for path in PACKAGE_DIR.rglob("*.py")
+        if _imports_sparsetools(ast.parse(path.read_text(), filename=str(path)))
+    )
+    assert importers == [str(SPARSETOOLS_OWNER.relative_to(SRC_DIR))]

@@ -68,6 +68,19 @@ def test_merge_metrics_counter_sum_invariant():
     assert merged["m3d_health"] == {"type": "state_gauge", "states": {"ok": 2}}
 
 
+def test_merge_metrics_keeps_the_labels_of_a_labelled_series():
+    series = 'm3d_x_total{scenario="a"}'
+    replicas = [
+        {"metrics": {series: {"type": "counter", "value": 1.0, "labels": {"scenario": "a"}}}},
+        {"metrics": {series: {"type": "counter", "value": 1.0, "labels": {"scenario": "a"}}}},
+    ]
+    merged = FleetScraper.merge_metrics(replicas)
+    assert merged[series] == {"type": "counter", "value": 2.0, "labels": {"scenario": "a"}}
+    assert "labels" not in FleetScraper.merge_metrics(
+        [{"metrics": metrics_payload(1, 0)}]
+    )["m3d_requests_total"]
+
+
 def test_merge_metrics_bucket_merges_histograms():
     replicas = [
         {"replica": "a", "metrics": metrics_payload(3, 0, [0.005, 0.05, 0.5])},
