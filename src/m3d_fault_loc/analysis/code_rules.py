@@ -16,10 +16,6 @@ code rather than general style (which ruff covers):
   bypass the structured JSON logger and lose the request trace id
   (escalated to ERROR inside the serving layer; CLI entry points and
   scripts are exempt — stdout is their interface),
-- **M3D208** ``scipy.sparse`` block-diagonal construction (escalated to
-  ERROR inside the serving layer, whose hot path must use the cached
-  segment-offset aggregation operators instead of re-packing a
-  block-diagonal matrix per request),
 - **M3D209** draws from the process-global numpy stream (``np.random.*``)
   or unseeded ``default_rng()`` (escalated to ERROR inside scenario and
   dataset generators, whose whole contract is byte-identical regeneration
@@ -327,63 +323,6 @@ class UnstructuredOutputRule(CodeRule):
                     )
                 )
         return findings
-
-
-class SparseBlockDiagRule(CodeRule):
-    """Re-packing per-graph sparse operators with ``scipy.sparse.block_diag``
-    on every call is the batching anti-pattern the cached aggregation layer
-    (:mod:`m3d_fault_loc.model.aggregate`) exists to replace: it round-trips
-    through COO and rebuilds arrays that a topology-keyed cache plus
-    segment-offset concatenation produce for free. In serving code a
-    per-request rebuild burns the latency budget of the whole forward pass,
-    so the finding escalates from WARNING to ERROR inside ``serve/``
-    sources."""
-
-    id = "M3D208"
-    severity = Severity.WARNING
-    description = "no scipy.sparse block_diag construction (ERROR inside serve/ code)"
-
-    #: Names a ``scipy.sparse`` module commonly travels under.
-    _MODULE_ROOTS = ("scipy", "sparse", "sp")
-
-    def check(self, tree: ast.Module, path: Path) -> list[Violation]:
-        aliases = self._block_diag_aliases(tree)
-        in_serve = "serve" in path.parts
-        findings: list[Violation] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted_name(node.func)
-            if not dotted or dotted[-1] not in aliases | {"block_diag"}:
-                continue
-            if len(dotted) == 1 and dotted[0] not in aliases:
-                continue  # a bare block_diag() not imported from scipy.sparse
-            if len(dotted) > 1 and dotted[0] not in self._MODULE_ROOTS:
-                continue  # e.g. someone's own linalg.block_diag helper
-            where = " inside serving code" if in_serve else ""
-            findings.append(
-                self.violation(
-                    f"scipy.sparse block-diagonal construction{where}; use the "
-                    "topology-keyed AggregationOperatorCache.batch_operator / "
-                    "stack_block_diagonal (m3d_fault_loc.model.aggregate) instead "
-                    "of re-packing operators per call",
-                    path,
-                    node.lineno,
-                    Severity.ERROR if in_serve else Severity.WARNING,
-                )
-            )
-        return findings
-
-    @staticmethod
-    def _block_diag_aliases(tree: ast.Module) -> set[str]:
-        """Local names bound to ``scipy.sparse.block_diag`` by imports."""
-        aliases: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse":
-                for a in node.names:
-                    if a.name == "block_diag":
-                        aliases.add(a.asname or a.name)
-        return aliases
 
 
 class ScenarioRngDisciplineRule(CodeRule):
@@ -749,7 +688,6 @@ BUILTIN_CODE_RULES: tuple[type[CodeRule], ...] = (
     UnboundedModuleCacheRule,
     UnguardedThreadLoopRule,
     UnstructuredOutputRule,
-    SparseBlockDiagRule,
     ScenarioRngDisciplineRule,
     MissingClientTimeoutRule,
     WallClockDurationRule,

@@ -1,7 +1,7 @@
 """AST lint pass over the Python stack: lock-discipline footguns (M3D3xx).
 
 The serving tier coordinates a dozen ``threading.Lock``/``Event`` instances
-across the micro-batch worker, watchdog, breaker, and metrics registry.
+across the service worker, watchdog, breaker, and metrics registry.
 These rules encode the lock discipline that keeps that coordination sound —
 statically, as a complement to the runtime lock-order sanitizer in
 :mod:`m3d_fault_loc.testing.racecheck`:

@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from m3d_fault_loc.cli.train import _positive_int, _seed
+from m3d_fault_loc.cli import argtypes
 from m3d_fault_loc.data.dataset import CircuitGraphDataset, GraphContractError
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.obs.telemetry import TelemetryWriter
@@ -38,12 +38,12 @@ from m3d_fault_loc.utils.seed import seed_everything
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--model", type=Path, required=True)
-    parser.add_argument("--seed", type=_seed, default=1)
-    parser.add_argument("--n-graphs", type=_positive_int, default=50)
-    parser.add_argument("--n-gates", type=_positive_int, default=40)
-    parser.add_argument("--n-inputs", type=_positive_int, default=6)
-    parser.add_argument("--num-tiers", type=_positive_int, default=2)
-    parser.add_argument("--top-k", type=_positive_int, default=3)
+    parser.add_argument("--seed", type=argtypes.seed, default=1)
+    parser.add_argument("--n-graphs", type=argtypes.positive_int, default=50)
+    parser.add_argument("--n-gates", type=argtypes.positive_int, default=40)
+    parser.add_argument("--n-inputs", type=argtypes.positive_int, default=6)
+    parser.add_argument("--num-tiers", type=argtypes.positive_int, default=2)
+    parser.add_argument("--top-k", type=argtypes.positive_int, default=3)
     parser.add_argument("--scenario", choices=scenario_names(), default=DEFAULT_SCENARIO,
                         help="fault scenario: picks the generator, contract rules, and metric")
     parser.add_argument("--data-dir", type=Path, default=None,

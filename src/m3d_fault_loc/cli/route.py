@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from m3d_fault_loc.cli import argtypes
 from m3d_fault_loc.cli.process import add_process_flags, configure_process, serve_until_drained
 from m3d_fault_loc.serve.router import (
     ReplicaRouter,
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--replica", action="append", required=True, metavar="HOST:PORT",
                         help="backend m3d-serve address (repeat per replica)")
-    parser.add_argument("--port", type=int, default=8360,
+    parser.add_argument("--port", type=argtypes.port_number, default=8360,
                         help="TCP port (0 binds an ephemeral port)")
     parser.add_argument("--attempt-timeout-s", type=float, default=30.0,
                         help="per-attempt socket timeout against a replica")
@@ -86,7 +87,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"bad replica spec: {exc}", file=sys.stderr)
         return 2
-    server = create_router_server(router, host=args.host, port=args.port)
+    try:
+        server = create_router_server(router, host=args.host, port=args.port)
+    except OSError as exc:  # port in use, unknown host
+        print(f"bind error: {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 2
     return serve_until_drained(server, router, tracer, args.drain_deadline_s, [
         f"replicas: {', '.join(r.key for r in router.replicas)}",
         f"routing on http://{args.host}:{server.port}",

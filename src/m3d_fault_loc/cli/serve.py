@@ -28,6 +28,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from m3d_fault_loc.cli import argtypes
 from m3d_fault_loc.cli.process import add_process_flags, configure_process, serve_until_drained
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer, ModelArtifactError
 from m3d_fault_loc.serve.registry import ModelRegistry, ModelRegistryError
@@ -42,16 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve a fixed .npz localizer artifact")
     source.add_argument("--registry", type=Path, default=None,
                         help="serve the registry's active model, with hot reload")
-    parser.add_argument("--port", type=int, default=8361,
+    parser.add_argument("--port", type=argtypes.port_number, default=8361,
                         help="TCP port (0 binds an ephemeral port)")
-    parser.add_argument("--max-batch", type=int, default=16,
-                        help="largest micro-batch per forward pass")
     parser.add_argument("--cache-size", type=int, default=1024,
                         help="result-cache capacity (content-hash LRU entries)")
     parser.add_argument("--max-queue", type=int, default=256,
                         help="admission queue bound; beyond it requests are shed (429)")
     parser.add_argument("--workers", type=int, default=1, choices=[1],
-                        help="batch workers per process (only 1; scale out with "
+                        help="workers per process (only 1; scale out with "
                              "more m3d-serve replicas behind m3d-route)")
     parser.add_argument("--request-timeout-s", type=float, default=30.0,
                         help="default per-request deadline (504 past it)")
@@ -82,16 +81,20 @@ def main(argv: list[str] | None = None) -> int:
         service = LocalizationService(
             model=model,
             registry=None if args.registry is None else ModelRegistry(args.registry),
-            max_batch=args.max_batch,
             cache_size=args.cache_size,
             max_queue=args.max_queue,
             request_timeout_s=args.request_timeout_s,
             drain_deadline_s=args.drain_deadline_s,
             tracer=tracer,
         )
-        server = create_server(
-            service, host=args.host, port=args.port, max_body_bytes=args.max_body_bytes
-        )
+        # Inner try: the registry's own I/O errors are OSErrors too.
+        try:
+            server = create_server(
+                service, host=args.host, port=args.port, max_body_bytes=args.max_body_bytes
+            )
+        except OSError as exc:  # port in use, unknown host
+            print(f"bind error: {args.host}:{args.port}: {exc}", file=sys.stderr)
+            return 2
     except ModelRegistryError as exc:
         print(f"registry error: {exc}", file=sys.stderr)
         return 2

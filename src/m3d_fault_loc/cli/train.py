@@ -29,10 +29,10 @@ import sys
 import time
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Callable
 
 import numpy as np
 
+from m3d_fault_loc.cli import argtypes
 from m3d_fault_loc.data.dataset import (
     CircuitGraphDataset,
     GraphContractError,
@@ -164,41 +164,20 @@ def train(
     return model
 
 
-def _checked(
-    cast: Callable[[str], Any], ok: Callable[[Any], bool], rule: str
-) -> Callable[[str], Any]:
-    """An argparse type: ``cast`` the text, then require ``ok`` of the value."""
-
-    def parse(text: str) -> Any:
-        value = cast(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
-        return value
-
-    parse.__name__ = cast.__name__  # argparse's "invalid int value: ..." names it
-    return parse
-
-
-_positive_int = _checked(int, lambda n: n >= 1, ">= 1")
-_seed = _checked(int, lambda n: 0 <= n < 2**32, "in [0, 2**32)")
-_positive_finite = _checked(float, lambda f: math.isfinite(f) and f > 0.0, "finite and > 0")
-_fraction = _checked(float, lambda f: 0.0 < f < 1.0, "in (0, 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--n-graphs", type=_positive_int, default=200)
-    parser.add_argument("--n-gates", type=_positive_int, default=40)
-    parser.add_argument("--n-inputs", type=_positive_int, default=6)
-    parser.add_argument("--num-tiers", type=_positive_int, default=2)
-    parser.add_argument("--epochs", type=_positive_int, default=30)
-    parser.add_argument("--batch-size", type=_positive_int, default=8)
-    parser.add_argument("--lr", type=_positive_finite, default=1e-2)
-    parser.add_argument("--clip-norm", type=_positive_finite, default=None,
+    parser.add_argument("--seed", type=argtypes.seed, default=0)
+    parser.add_argument("--n-graphs", type=argtypes.positive_int, default=200)
+    parser.add_argument("--n-gates", type=argtypes.positive_int, default=40)
+    parser.add_argument("--n-inputs", type=argtypes.positive_int, default=6)
+    parser.add_argument("--num-tiers", type=argtypes.positive_int, default=2)
+    parser.add_argument("--epochs", type=argtypes.positive_int, default=30)
+    parser.add_argument("--batch-size", type=argtypes.positive_int, default=8)
+    parser.add_argument("--lr", type=argtypes.positive_finite, default=1e-2)
+    parser.add_argument("--clip-norm", type=argtypes.positive_finite, default=None,
                         help="clip accumulated gradients to this global L2 norm")
-    parser.add_argument("--hidden", type=_positive_int, default=32)
-    parser.add_argument("--test-fraction", type=_fraction, default=0.2)
+    parser.add_argument("--hidden", type=argtypes.positive_int, default=32)
+    parser.add_argument("--test-fraction", type=argtypes.fraction, default=0.2)
     parser.add_argument("--scenario", choices=scenario_names(), default=DEFAULT_SCENARIO,
                         help="fault scenario whose generator synthesizes the dataset")
     parser.add_argument("--data-dir", type=Path, default=None,

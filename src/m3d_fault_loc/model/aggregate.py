@@ -1,22 +1,16 @@
 """Cached CSR aggregation operators for the localizer hot path, and the one
 call into scipy's CSR kernel that applies them.
 
-The localizer's forward pass is dominated by two costs: the sparse
-in-neighbor-mean operator build (in-degree scatter, COO assembly, CSR
-conversion) and, on the batch path, ``scipy.sparse.block_diag`` re-packing
-every per-graph operator on every request. Both are pure functions of the
-graph *topology*, which in a serving workload repeats far more often than
-the feature matrix does — so this module makes them cacheable:
+Building the sparse in-neighbor-mean operator (in-degree scatter, COO
+assembly, CSR conversion) costs more than applying it. It is a pure
+function of the graph *topology*, which in a serving workload repeats far
+more often than the feature matrix does (one design, many failing dies) —
+so this module makes it cacheable:
 
 - :func:`build_in_neighbor_mean` is the one operator constructor;
 - :class:`AggregationOperatorCache` is a byte-bounded, thread-safe LRU of
   built operators keyed by :func:`topology_digest`, so every observation of
   one netlist shares one operator;
-- :func:`stack_block_diagonal` assembles the batched block-diagonal
-  operator by *segment-offset concatenation* of the cached per-graph CSR
-  arrays — same nonzeros in the same row-major order as
-  ``sp.block_diag(..., format="csr")``, so batched matvecs produce
-  bit-identical floats, without the COO round-trip;
 - :func:`aggregate` and :func:`aggregate_transpose` apply an operator and
   its transpose to a dense block by calling ``csr_matvecs`` /
   ``csc_matvecs`` from ``scipy.sparse._sparsetools`` directly, into a
@@ -27,10 +21,10 @@ the feature matrix does — so this module makes them cacheable:
   the only module that touches the private ``_sparsetools``
   (``tests/test_import_footprint.py``).
 
-Exactness matters: the serving stack promises ``node_scores_batch`` equals
-``node_scores`` to the last ulp, and that promise survives precisely
-because a cached operator is the *same array contents* a fresh build would
-produce (asserted by the parity suite in ``tests/test_agg_cache.py``).
+Exactness matters: a served score must not depend on whether the operator
+came from the cache, and it does not, because a cached operator is the
+*same array contents* a fresh build would produce (asserted by the parity
+suite in ``tests/test_agg_cache.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,39 +125,6 @@ def operator_nbytes(m: sp.csr_matrix) -> int:
     return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
-def stack_block_diagonal(ops: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
-    """Block-diagonal CSR from per-graph CSR operators, by concatenation.
-
-    Equivalent to ``sp.block_diag(ops, format="csr")`` — identical ``data``,
-    ``indices``, and ``indptr`` contents — but built in O(nnz) array
-    concatenations with no COO intermediate. Each block's column indices are
-    shifted by its row offset (the blocks are square), and the row-pointer
-    segments are shifted by the running nonzero count.
-    """
-    if not ops:
-        return sp.csr_matrix((0, 0))
-    if len(ops) == 1:
-        return ops[0]
-    sizes = np.asarray([m.shape[0] for m in ops], dtype=np.int64)
-    nnzs = np.asarray([m.nnz for m in ops], dtype=np.int64)
-    row_offsets = np.concatenate(([0], np.cumsum(sizes)))
-    nnz_offsets = np.concatenate(([0], np.cumsum(nnzs)))
-    total = int(row_offsets[-1])
-
-    data = np.concatenate([m.data for m in ops])
-    indices = np.concatenate(
-        [m.indices.astype(np.int64, copy=False) + off for m, off in zip(ops, row_offsets)]
-    )
-    indptr = np.concatenate(
-        [np.asarray([0], dtype=np.int64)]
-        + [m.indptr[1:].astype(np.int64, copy=False) + off for m, off in zip(ops, nnz_offsets)]
-    )
-    out = sp.csr_matrix((data, indices, indptr), shape=(total, total))
-    # Per-block indices were sorted at build time and offsets preserve order.
-    out.has_sorted_indices = True
-    return out
-
-
 class AggregationOperatorCache:
     """Byte-bounded, thread-safe LRU of built aggregation operators.
 
@@ -216,10 +176,6 @@ class AggregationOperatorCache:
                 self._bytes += cost
                 self._evict_locked()
         return m
-
-    def batch_operator(self, graphs: Sequence[CircuitGraph]) -> sp.csr_matrix:
-        """Block-diagonal batch operator assembled from cached per-graph CSRs."""
-        return stack_block_diagonal([self.get_or_build(g) for g in graphs])
 
     def _evict_locked(self) -> None:
         while self._entries and (

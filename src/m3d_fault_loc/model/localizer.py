@@ -10,6 +10,10 @@ backward passes are written out explicitly over scipy sparse aggregation
 matrices; the layer structure mirrors the NetConv/MLP idiom used by timing
 GNNs so a torch_geometric port stays mechanical.
 
+A forward scores one graph (:meth:`DelayFaultLocalizer.node_scores`): the
+paper diagnoses one failing die at a time, and a block-diagonal stack of
+graphs measured slower per graph once it no longer fit in L1.
+
 Each SAGE layer is one linear map of its concatenated input, as in
 standard SAGE and NetConv (``cat([h, m @ h])`` into one ``Linear``). With
 ``d`` the layer's input width and ``h`` the hidden width, the flat parameter
@@ -44,7 +48,7 @@ import math
 import threading
 import zipfile
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -204,40 +208,8 @@ class DelayFaultLocalizer:
 
     def node_scores(self, graph: CircuitGraph) -> np.ndarray:
         """Raw per-node localization logits, shape (N,)."""
-        logits, _ = self._forward(graph)
+        logits, _ = self._forward_arrays(graph.x, self.agg_cache.get_or_build(graph))
         return logits
-
-    def predict(self, graph: CircuitGraph) -> int:
-        """Index of the most likely fault-origin node."""
-        return int(np.argmax(self.node_scores(graph)))
-
-    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
-        """Per-graph logit arrays from one stacked forward pass.
-
-        Features are concatenated and the aggregation matrices placed on a
-        block diagonal, so every row's dot products are the same sums in the
-        same order as the single-graph path — results match
-        :meth:`node_scores` exactly, not just approximately. A single-graph
-        batch falls through to :meth:`node_scores` directly, skipping the
-        concatenate/split round-trip the micro-batcher would otherwise pay
-        at batch size 1.
-        """
-        if not graphs:
-            return []
-        if len(graphs) == 1:
-            return [self.node_scores(graphs[0])]
-        sizes = [g.num_nodes for g in graphs]
-        x = np.concatenate([g.x for g in graphs], axis=0)
-        m = self.agg_cache.batch_operator(graphs)
-        logits, _ = self._forward_arrays(x, m)
-        return [part.copy() for part in np.split(logits, np.cumsum(sizes)[:-1])]
-
-    def predict_batch(self, graphs: Sequence[CircuitGraph]) -> list[int]:
-        """Most likely fault-origin index for each graph, one forward pass."""
-        return [int(np.argmax(scores)) for scores in self.node_scores_batch(graphs)]
-
-    def _forward(self, graph: CircuitGraph):
-        return self._forward_arrays(graph.x, self.agg_cache.get_or_build(graph))
 
     def _workspace(self, n: int) -> _Workspace:
         """This thread's workspace cut to ``n`` rows; valid until the
@@ -273,9 +245,9 @@ class DelayFaultLocalizer:
         _single_thread_matmul(ws.z2, theta2, ws.a2)
         np.maximum(ws.a2, 0.0, out=ws.h2)
         # The head is an (N, h) @ (h, 1) product; BLAS picks N-dependent gemv
-        # strategies whose last-ulp rounding would break the exact
-        # single-vs-batch parity promised by node_scores_batch. einsum keeps
-        # a fixed per-row accumulation order regardless of N.
+        # strategies whose last-ulp rounding differs. einsum keeps a fixed
+        # per-row accumulation order regardless of N, and the trained
+        # parameters pinned by tests/test_train_oracle.py are its floats.
         logits = np.einsum("nh,ho->no", ws.h2, head[:-1])
         logits += head[-1]
         return logits.ravel(), ws

@@ -29,9 +29,15 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from m3d_fault_loc.cli import argtypes
 from m3d_fault_loc.obs.fleet import FleetScraper, fetch_json, render_fleet_text
 from m3d_fault_loc.obs.stitch import render_stitched_text, stitch_files
-from m3d_fault_loc.obs.telemetry import read_jsonl, summarize_traces, summarize_training
+from m3d_fault_loc.obs.telemetry import (
+    UnreadableLogError,
+    read_jsonl,
+    summarize_traces,
+    summarize_training,
+)
 
 
 def _load(path: Path) -> list[dict[str, Any]] | None:
@@ -224,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "is fetched directly (reusing its member config)")
     fleet.add_argument("--replica", action="append", default=[], metavar="HOST:PORT",
                        help="replica to scrape (repeatable)")
-    fleet.add_argument("--timeout-s", type=float, default=2.0,
+    fleet.add_argument("--timeout-s", type=argtypes.positive_finite, default=2.0,
                        help="per-member scrape timeout")
-    fleet.add_argument("--availability-objective", type=float, default=0.99)
+    fleet.add_argument("--availability-objective", type=argtypes.fraction, default=0.99,
+                       help="fraction of requests that must succeed, in (0, 1)")
     fleet.add_argument("--latency-objective-ms", type=float, default=250.0)
     fleet.add_argument("--format", choices=("text", "json"), default="text")
     fleet.set_defaults(func=_cmd_fleet)
@@ -235,7 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return int(args.func(args))
+    try:
+        return int(args.func(args))
+    except UnreadableLogError as exc:  # a directory, non-UTF-8 bytes, no permission
+        print(f"m3d-obs: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

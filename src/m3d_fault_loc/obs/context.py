@@ -4,7 +4,7 @@ One :mod:`contextvars` variable carries the current trace id from the HTTP
 handler thread into everything it calls on that thread — the contract gate,
 the cache lookup, the structured logger — without threading a ``trace_id``
 parameter through every signature. Code that runs on *other* threads on a
-request's behalf (the batch worker, the watchdog) cannot see the caller's
+request's behalf (the worker, the watchdog) cannot see the caller's
 context; it tags spans and log lines with the trace id stored on the
 queued request instead.
 

@@ -62,20 +62,34 @@ class TelemetryWriter:
         self.close()
 
 
+class UnreadableLogError(OSError):
+    """A log path that exists but cannot be read as UTF-8 text: a directory,
+    not permitted, or binary bytes. The message names the path."""
+
+
 def read_jsonl(path: Path | str) -> list[dict[str, Any]]:
-    """Parse a JSONL file, skipping blank and torn (half-written) lines."""
+    """Parse a JSONL file, skipping blank and torn (half-written) lines.
+
+    A missing file raises :class:`FileNotFoundError` unchanged; any other
+    failure to read it as text raises :class:`UnreadableLogError`.
+    """
     records: list[dict[str, Any]] = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                parsed = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a torn tail line from a crashed writer
-            if isinstance(parsed, dict):
-                records.append(parsed)
+    try:
+        with Path(path).open(encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    parsed = json.loads(line)
+                except json.JSONDecodeError:
+                    continue  # a torn tail line from a crashed writer
+                if isinstance(parsed, dict):
+                    records.append(parsed)
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableLogError(f"cannot read {path}: {exc}") from exc
     return records
 
 

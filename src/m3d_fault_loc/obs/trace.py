@@ -5,7 +5,7 @@ named stage inside it (``contract_gate``, ``cache_lookup``, ``queue_wait``,
 ``batch_infer``, …). The service opens a trace per ``localize()`` call;
 code on the request's own thread records spans with the :meth:`Tracer.span`
 context manager (the trace id comes from the ambient context), and the
-batch worker — which acts on many requests from one thread — records with
+worker — which acts on many requests from one thread — records with
 :meth:`Tracer.record`, passing each victim's trace id explicitly.
 
 Completed traces land in a bounded ring buffer (served by

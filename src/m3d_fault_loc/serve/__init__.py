@@ -1,4 +1,4 @@
-"""Inference serving subsystem: registry, micro-batched service, HTTP API.
+"""Inference serving subsystem: registry, queued service, HTTP API.
 
 Layers, bottom up:
 
@@ -11,8 +11,8 @@ Layers, bottom up:
   with checksums and metadata, plus an activation pointer the service
   hot-reloads from.
 - :mod:`m3d_fault_loc.serve.service` — :class:`LocalizationService`: a
-  thread-safe request queue micro-batching graphs through
-  ``DelayFaultLocalizer.predict_batch``, with every request gated by the
+  thread-safe request queue feeding one worker that scores each graph
+  with ``DelayFaultLocalizer.node_scores``, with every request gated by the
   m3dlint contract engine (ERROR findings reject, never a wrong answer).
 - :mod:`m3d_fault_loc.serve.resilience` — deadlines, load shedding,
   circuit breaker, health state machine, and retry/backoff policies that

@@ -233,7 +233,7 @@ class ModelRegistry:
 
     def active_ref(self) -> tuple[str, str] | None:
         """Current ``(name, version)`` pointer, or ``None`` before first
-        activation. Cheap enough to poll on every micro-batch."""
+        activation. Cheap enough to poll on every request."""
         path = self.root / _ACTIVE_FILE
         try:
             payload = json.loads(path.read_text())

@@ -5,7 +5,7 @@ observable* instead of hanging callers or silently degrading:
 
 - :class:`Deadline` — absolute-monotonic request deadlines propagated from
   the HTTP handler through :meth:`LocalizationService.localize` into the
-  batch worker, so an expired request is dropped instead of occupying a
+  worker, so an expired request is dropped instead of occupying a
   forward pass.
 - Structured exceptions (:class:`DeadlineExceededError`,
   :class:`LoadSheddedError`, :class:`CircuitOpenError`,
@@ -13,7 +13,7 @@ observable* instead of hanging callers or silently degrading:
   layer maps onto 504/429/503 responses with machine-readable bodies.
 - :class:`CircuitBreaker` — a half-open breaker that trips after
   consecutive failures and lets one trial through before closing again;
-  the service guards its batch worker with one, the router each replica.
+  the service guards its worker with one, the router each replica.
 - :class:`HealthMonitor` — the ``ok -> degraded -> unhealthy`` state
   machine behind ``/healthz``, driven by worker restarts and recoveries.
 - :class:`ExponentialBackoff` / :func:`retry_with_backoff` — the retry
@@ -56,7 +56,7 @@ class Deadline:
     """An absolute point on the monotonic clock a request must finish by.
 
     Deadlines are created once at admission and *propagated* (never
-    re-derived) so every layer — admission, queue wait, batch worker —
+    re-derived) so every layer — admission, queue wait, worker —
     measures the same budget. ``Deadline.after(None)`` is an infinite
     deadline that never expires.
     """
@@ -112,7 +112,7 @@ class LoadSheddedError(ResilienceError):
 
 
 class CircuitOpenError(ResilienceError):
-    """The batch circuit breaker is open; request refused at admission."""
+    """The service's circuit breaker is open; request refused at admission."""
 
     def __init__(self, retry_after_s: float):
         self.retry_after_s = retry_after_s
@@ -120,7 +120,7 @@ class CircuitOpenError(ResilienceError):
 
 
 class WorkerCrashedError(ResilienceError):
-    """The batch worker died (or stalled) while this request was pending."""
+    """The worker died (or stalled) while this request was pending."""
 
 
 class ServiceDrainingError(ResilienceError):
@@ -284,7 +284,7 @@ class HealthMonitor(_StateMachine):
     - a worker failure (crash or stall) moves ``ok -> degraded``;
     - ``unhealthy_after`` consecutive failures without an intervening
       success move ``degraded -> unhealthy``;
-    - any successful batch moves the state back to ``ok`` and resets the
+    - any successful forward pass moves the state back to ``ok`` and resets the
       failure streak (recovery is observable, not just collapse).
     """
 

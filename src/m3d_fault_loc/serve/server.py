@@ -29,7 +29,7 @@ carries the request's ``X-M3D-Trace-Id`` header, and JSON error bodies echo
 it, so a client-observed 504/429/503 maps directly to the server-side trace.
 
 Built on ``ThreadingHTTPServer`` so each connection blocks on its own future
-while the service worker micro-batches across connections — concurrency
+while the service's one worker scores their graphs in turn — concurrency
 without any dependency beyond the standard library.
 """
 

@@ -1,4 +1,4 @@
-"""Micro-batched localization service with one supervised batch worker.
+"""Localization service with one supervised worker.
 
 Request path: callers (one per HTTP connection thread) gate their graph
 through the m3dlint contract engine — ERROR findings raise
@@ -12,13 +12,13 @@ cache keys are scenario-tagged, and request/rejection counters carry a
 ``scenario`` label on ``/metrics``. An unknown scenario raises
 :class:`~m3d_fault_loc.scenarios.UnknownScenarioError` (→ HTTP 422).
 
-**Batch worker.** One worker thread drains the queue into micro-batches
-(whatever is already queued when the worker goes idle, up to ``max_batch``
-graphs — it never waits for a partner), runs one stacked
-``node_scores_batch`` forward pass, and resolves the per-request futures.
-Workers are threads sharing one GIL, so more of them would add no
-capacity; scale-out is separate ``m3d-serve`` processes behind
-``m3d-route``.
+**Worker.** One worker thread takes one request at a time off the queue,
+drops it if its deadline has passed, runs one ``node_scores`` forward pass
+on its graph, and resolves its future. The paper diagnoses one failing die
+at a time, and stacking queued graphs into one forward measured slower per
+graph than scoring them one by one. Workers are threads sharing one GIL,
+so more of them would add no capacity; scale-out is separate ``m3d-serve``
+processes behind ``m3d-route``.
 
 Failure modes are explicit and bounded (see
 :mod:`m3d_fault_loc.serve.resilience`):
@@ -30,7 +30,7 @@ Failure modes are explicit and bounded (see
   (:class:`LoadSheddedError` → HTTP 429) instead of growing without bound;
   the advertised ``Retry-After`` is derived from queue depth and jittered
   ±20 % so shed clients do not stampede back in sync;
-- consecutive batch failures trip a half-open :class:`CircuitBreaker`
+- consecutive forward failures trip a half-open :class:`CircuitBreaker`
   (:class:`CircuitOpenError` → HTTP 503) that probes before closing;
 - a watchdog thread supervises the worker: a dead or stalled worker has
   its in-flight and queued futures failed with :class:`WorkerCrashedError`
@@ -40,10 +40,11 @@ Failure modes are explicit and bounded (see
 - draining stops admission, lets queued work finish within a deadline, and
   fails leftovers deterministically with :class:`ServiceDrainingError`.
 
-The registry's activation pointer is polled at request entry and between
-batches: swapping ``ACTIVE`` in the registry hot-reloads the model without
-dropping requests. A reload that fails (corrupt artifact, I/O error) keeps
-the current model serving and is counted, never propagated to callers.
+The registry's activation pointer is polled at request entry and before
+each forward pass: swapping ``ACTIVE`` in the registry hot-reloads the
+model without dropping requests. A reload that fails (corrupt artifact,
+I/O error) keeps the current model serving and is counted, never
+propagated to callers.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from m3d_fault_loc.obs.context import current_trace_id, new_trace_id
 from m3d_fault_loc.obs.logging import get_logger
 from m3d_fault_loc.obs.trace import Tracer
 from m3d_fault_loc.serve.cache import LRUResultCache, graph_digest
-from m3d_fault_loc.serve.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from m3d_fault_loc.serve.metrics import MetricsRegistry
 from m3d_fault_loc.serve.registry import ModelManifest, ModelRegistry
 from m3d_fault_loc.serve.resilience import (
     CircuitBreaker,
@@ -153,7 +154,7 @@ class _Pending:
 
 
 class LocalizationService:
-    """Thread-safe, micro-batched front end over :class:`DelayFaultLocalizer`.
+    """Thread-safe, queued front end over :class:`DelayFaultLocalizer`.
 
     Exactly one of ``model`` (fixed ad-hoc artifact) or ``registry``
     (versioned artifacts + hot reload of the active version) must be given.
@@ -165,7 +166,6 @@ class LocalizationService:
         registry: ModelRegistry | None = None,
         engine: RuleEngine | None = None,
         cache_size: int = 1024,
-        max_batch: int = 16,
         request_timeout_s: float | None = 30.0,
         metrics: MetricsRegistry | None = None,
         max_queue: int = 256,
@@ -180,8 +180,6 @@ class LocalizationService:
     ):
         if (model is None) == (registry is None):
             raise ValueError("pass exactly one of model= or registry=")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if request_timeout_s is not None and not request_timeout_s > 0:
@@ -189,7 +187,6 @@ class LocalizationService:
         if not drain_deadline_s > 0:
             raise ValueError(f"drain_deadline_s must be > 0, got {drain_deadline_s}")
         self.registry = registry
-        self.max_batch = max_batch
         self.max_queue = max_queue
         self.request_timeout_s = request_timeout_s
         self.shed_retry_after_s = shed_retry_after_s
@@ -199,13 +196,13 @@ class LocalizationService:
         self._cache = LRUResultCache(capacity=cache_size)
         # Worker and supervision state. ``_gen`` retires a superseded
         # thread, ``_heartbeat`` feeds stall detection, ``_in_flight`` is
-        # what the watchdog fails when the worker dies mid-batch, and
+        # what the watchdog fails when the worker dies mid-forward, and
         # ``_restart_at`` schedules the respawn so the watchdog never sleeps.
         self._queue: queue.Queue[_Pending | None] = queue.Queue(maxsize=max_queue)
         self._worker: threading.Thread | None = None
         self._gen = 0
         self._heartbeat = time.monotonic()
-        self._in_flight: list[_Pending] = []
+        self._in_flight: _Pending | None = None
         self._flight_lock = threading.Lock()
         self._backoff = restart_backoff or ExponentialBackoff(base_s=0.05, max_s=2.0)
         self._restart_at: float | None = None
@@ -229,9 +226,8 @@ class LocalizationService:
         )
         self.m_errors = m.counter("m3d_request_errors_total", "requests failed inside the worker")
         self.m_forward_passes = m.counter(
-            "m3d_forward_passes_total", "micro-batched model forward passes executed"
+            "m3d_forward_passes_total", "model forward passes executed"
         )
-        self.m_graphs = m.counter("m3d_graphs_localized_total", "graphs run through the model")
         self.m_reloads = m.counter("m3d_model_reloads_total", "hot reloads of the active model")
         self.m_reload_failures = m.counter(
             "m3d_model_reload_failures_total", "hot reloads refused (corrupt artifact, I/O error)"
@@ -249,20 +245,17 @@ class LocalizationService:
             "m3d_breaker_rejections_total", "requests refused while the breaker was open"
         )
         self.m_worker_restarts = m.counter(
-            "m3d_worker_restarts_total", "batch worker restarts by the watchdog"
+            "m3d_worker_restarts_total", "worker restarts by the watchdog"
         )
         self.m_drain_failed = m.counter(
             "m3d_drain_failures_total", "requests failed at the drain deadline"
         )
-        self.m_queue_depth = m.gauge("m3d_queue_depth", "requests waiting in the batch queue")
+        self.m_queue_depth = m.gauge("m3d_queue_depth", "requests waiting in the admission queue")
         self.m_breaker_state = m.state_gauge(
             "m3d_breaker_state", "circuit breaker state", states=CircuitBreaker.STATES
         )
         self.m_health_state = m.state_gauge(
             "m3d_health_state", "service health state", states=HealthMonitor.STATES
-        )
-        self.m_batch_size = m.histogram(
-            "m3d_batch_size", "graphs per forward pass", buckets=DEFAULT_SIZE_BUCKETS
         )
         self.m_latency = m.histogram(
             "m3d_request_latency_seconds", "end-to-end localization latency"
@@ -392,8 +385,8 @@ class LocalizationService:
 
         Runs at request entry (before the cache lookup, so a swap can never
         serve a previous model's cached answer) and again in the worker
-        between batches. A reload that fails — quarantined artifact, I/O
-        error — keeps the current model serving, increments
+        before each forward pass. A reload that fails — quarantined
+        artifact, I/O error — keeps the current model serving, increments
         ``m3d_model_reload_failures_total``, and is not retried until the
         pointer moves again.
         """
@@ -466,7 +459,7 @@ class LocalizationService:
         deadline = Deadline.after(deadline_s if deadline_s is not None else self.drain_deadline_s)
         while not deadline.expired():
             with self._flight_lock:
-                busy = bool(self._in_flight)
+                busy = self._in_flight is not None
             if not busy and self.queue_depth() == 0:
                 break
             time.sleep(_DRAIN_POLL_S)
@@ -518,7 +511,7 @@ class LocalizationService:
         timeout_s: float | None = None,
         scenario: str | None = None,
     ) -> LocalizationResult:
-        """Gate, cache-check, and (on a miss) batch one graph through the worker.
+        """Gate, cache-check, and (on a miss) score one graph on the worker.
 
         ``timeout_s`` is this request's deadline (defaults to the service's
         ``request_timeout_s``); it bounds queue wait *and* is honored by the
@@ -568,7 +561,8 @@ class LocalizationService:
 
         Top-level stages (``contract_gate``, ``cache_lookup``,
         ``await_result``) partition the request's wall time; the worker-side
-        ``queue_wait`` / ``batch_infer`` spans are children of
+        ``queue_wait`` / ``batch_infer`` spans (one observation per forward)
+        are children of
         ``await_result`` (tagged ``parent``), so summing the top level
         reconstructs the request total while the children explain where the
         await went.
@@ -646,98 +640,57 @@ class LocalizationService:
                     return  # superseded by a watchdog restart
                 self._heartbeat = time.monotonic()
                 try:
-                    item = self._queue.get(timeout=_IDLE_POLL_S)
+                    p = self._queue.get(timeout=_IDLE_POLL_S)
                 except queue.Empty:
                     if self._stop_requested.is_set():
                         return
                     continue
-                if item is None:
+                if p is None:
                     return
-                batch = self._collect_batch(item)
                 self.m_queue_depth.set(self._queue.qsize())
-                live = self._drop_expired(batch)
-                if not live:
+                if p.deadline.expired():
+                    # Fail it instead of spending a forward pass on it.
+                    p.fail(DeadlineExceededError(p.deadline.budget_s, where="admission queue"))
                     continue
-                dequeued = time.perf_counter()
-                for p in live:
-                    wait_s = max(0.0, dequeued - p.enqueued_at)
-                    self._observe_stage("queue_wait", p.trace_id, wait_s, parent="await_result")
-                # Gen-guarded: a worker superseded mid-batch by the watchdog
+                wait_s = max(0.0, time.perf_counter() - p.enqueued_at)
+                self._observe_stage("queue_wait", p.trace_id, wait_s, parent="await_result")
+                # Gen-guarded: a worker superseded mid-forward by the watchdog
                 # must not clobber its replacement's in-flight record.
                 with self._flight_lock:
                     if self._gen == gen:
-                        self._in_flight = list(live)
+                        self._in_flight = p
                 self._maybe_reload()
-                self._run_batch(live)
+                self._infer(p)
                 with self._flight_lock:
                     if self._gen == gen:
-                        self._in_flight = []
+                        self._in_flight = None
             except Exception:
                 # A worker that dies silently strands every queued future;
                 # anything short of thread death must keep the loop alive.
                 log.exception("worker_iteration_failed")
 
-    def _collect_batch(self, first: _Pending) -> list[_Pending]:
-        """Dispatch on idle: take only what is already queued behind ``first``.
-
-        Never waits for a partner, so a lone miss goes straight to the
-        forward pass; under load, requests that queued while the worker was
-        busy still ride together (up to ``max_batch``).
-        """
-        batch = [first]
-        while len(batch) < self.max_batch:
-            try:
-                nxt = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if nxt is None:
-                self._stop_requested.set()
-                break
-            batch.append(nxt)
-        return batch
-
-    def _drop_expired(self, batch: list[_Pending]) -> list[_Pending]:
-        """Fail already-expired requests instead of spending a forward pass."""
-        live: list[_Pending] = []
-        for p in batch:
-            if p.deadline.expired():
-                p.fail(DeadlineExceededError(p.deadline.budget_s, where="batch queue"))
-            else:
-                live.append(p)
-        return live
-
-    def _run_batch(self, batch: list[_Pending]) -> None:
+    def _infer(self, p: _Pending) -> None:
+        """One forward pass for one request; resolves its future."""
         model, info, prefix = self._model_state
         t0 = time.perf_counter()
         try:
-            scores_per_graph = model.node_scores_batch([p.graph for p in batch])
+            scores = model.node_scores(p.graph)
+            infer_s = time.perf_counter() - t0
+            # Guarded too: scores no result can be built from fail this
+            # request instead of leaving its future unresolved.
+            result = self._build_result(p, scores, info)
         except Exception as exc:
             self._breaker.record_failure()
-            for p in batch:
-                log.error(
-                    "batch_failed",
-                    trace_id=p.trace_id,
-                    error=type(exc).__name__,
-                    batch=len(batch),
-                )
-                p.fail(exc)
+            log.error("forward_failed", trace_id=p.trace_id, error=type(exc).__name__)
+            p.fail(exc)
             return
-        infer_s = time.perf_counter() - t0
-        self.m_stage["batch_infer"].observe(infer_s)
-        for p in batch:
-            self.tracer.record(
-                p.trace_id, "batch_infer", infer_s, parent="await_result", batch=len(batch)
-            )
+        self._observe_stage("batch_infer", p.trace_id, infer_s, parent="await_result")
         self._breaker.record_success()
         self._health.record_success()
         self._backoff.reset()
         self.m_forward_passes.inc()
-        self.m_batch_size.observe(len(batch))
-        self.m_graphs.inc(len(batch))
-        for p, scores in zip(batch, scores_per_graph, strict=True):
-            result = self._build_result(p, scores, info)
-            self._cache.put(f"{prefix}:{p.scenario}:{p.top_k}:{p.digest}", result)
-            p.complete(result)
+        self._cache.put(f"{prefix}:{p.scenario}:{p.top_k}:{p.digest}", result)
+        p.complete(result)
 
     # -- supervision -------------------------------------------------------
 
@@ -772,7 +725,7 @@ class LocalizationService:
         stalled = not dead and self._stalled()
         if not (dead or stalled):
             return
-        reason = "batch worker thread died" if dead else "batch worker stalled"
+        reason = "worker thread died" if dead else "worker stalled"
         log.error("watchdog_restart", reason=reason)
         self._health.record_worker_failure(reason)
         self.m_worker_restarts.inc()
@@ -784,7 +737,7 @@ class LocalizationService:
         if self.stall_timeout_s is None:
             return False
         with self._flight_lock:
-            busy = bool(self._in_flight)
+            busy = self._in_flight is not None
         busy = busy or self._queue.qsize() > 0
         return busy and (time.monotonic() - self._heartbeat) > self.stall_timeout_s
 
@@ -796,8 +749,8 @@ class LocalizationService:
         cannot name the casualties; the pending record can.
         """
         with self._flight_lock:
-            stranded = list(self._in_flight)
-            self._in_flight = []
+            stranded = [] if self._in_flight is None else [self._in_flight]
+            self._in_flight = None
         while True:
             try:
                 item = self._queue.get_nowait()

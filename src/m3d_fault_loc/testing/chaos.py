@@ -3,11 +3,11 @@
 Every shim here injects *one* failure mode, at a *chosen* point, a *chosen*
 number of times — chaos tests must be reproducible, never probabilistic:
 
-- :class:`CrashOnNthBatchModel` — raises on the Nth batch forward pass;
+- :class:`CrashOnNthForwardModel` — raises on the Nth forward pass;
   with ``kill_worker=True`` it raises :class:`WorkerKilled` (a
   ``BaseException``) that escapes the worker's broad exception guard and
-  takes the whole batch-worker thread down, exercising the watchdog.
-- :class:`SlowBatchModel` — sleeps before each forward pass to exercise
+  takes the whole worker thread down, exercising the watchdog.
+- :class:`SlowForwardModel` — sleeps before each forward pass to exercise
   deadlines, queue back-pressure, and stall detection.
 - :func:`corrupt_artifact` — tampers with a published registry artifact on
   disk so checksum verification (and quarantine) can be exercised.
@@ -35,7 +35,6 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -48,7 +47,7 @@ from m3d_fault_loc.serve.registry import ModelRegistry
 
 
 class WorkerKilled(BaseException):
-    """Simulated hard death of the batch worker thread.
+    """Simulated hard death of the service's worker thread.
 
     Derives from ``BaseException`` so it escapes the worker loop's broad
     ``except Exception`` guard — the closest pure-Python analogue to the
@@ -60,7 +59,7 @@ class WorkerKilled(BaseException):
 class ChaosModelWrapper:
     """Base wrapper delegating the full localizer surface to a real model.
 
-    Subclasses override :meth:`node_scores_batch` to inject faults; every
+    Subclasses override :meth:`node_scores` to inject faults; every
     other attribute (``in_dim``, ``hidden``, ``params``, ``fingerprint``,
     ``save``, …) passes straight through so the service, registry, and
     cache cannot tell a chaos model from a healthy one until it misbehaves.
@@ -68,7 +67,7 @@ class ChaosModelWrapper:
 
     def __init__(self, base: DelayFaultLocalizer):
         self._base = base
-        self.batch_calls = 0
+        self.forward_calls = 0
         self._lock = threading.Lock()
 
     def __getattr__(self, name: str) -> Any:
@@ -76,23 +75,23 @@ class ChaosModelWrapper:
 
     def _next_call(self) -> int:
         with self._lock:
-            self.batch_calls += 1
-            return self.batch_calls
+            self.forward_calls += 1
+            return self.forward_calls
 
-    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
+    def node_scores(self, graph: CircuitGraph) -> np.ndarray:
         self._next_call()
-        return self._base.node_scores_batch(graphs)
+        return self._base.node_scores(graph)
 
 
-class CrashOnNthBatchModel(ChaosModelWrapper):
-    """Fail ``crash_count`` consecutive batch forward passes from the Nth on.
+class CrashOnNthForwardModel(ChaosModelWrapper):
+    """Fail ``crash_count`` consecutive forward passes from the Nth on.
 
     ``crash_on`` counts from 1. ``crash_count=None`` fails forever — the
     shape needed to trip a consecutive-failure circuit breaker; a finite
     count lets the model "recover" so half-open probes and watchdog
     restarts can be observed succeeding. With ``kill_worker=True`` the
     failure is a :class:`WorkerKilled` instead of an ordinary exception, so
-    it unwinds the worker thread rather than failing one batch.
+    it unwinds the worker thread rather than failing one request.
     """
 
     def __init__(
@@ -101,7 +100,7 @@ class CrashOnNthBatchModel(ChaosModelWrapper):
         crash_on: int = 1,
         crash_count: int | None = 1,
         kill_worker: bool = False,
-        message: str = "injected batch failure",
+        message: str = "injected forward failure",
     ):
         super().__init__(base)
         if crash_on < 1:
@@ -113,20 +112,20 @@ class CrashOnNthBatchModel(ChaosModelWrapper):
         self.kill_worker = kill_worker
         self.message = message
 
-    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
+    def node_scores(self, graph: CircuitGraph) -> np.ndarray:
         call = self._next_call()
         should_crash = call >= self.crash_on and (
             self.crash_count is None or call < self.crash_on + self.crash_count
         )
         if should_crash:
-            detail = f"{self.message} (batch call {call})"
+            detail = f"{self.message} (forward call {call})"
             if self.kill_worker:
                 raise WorkerKilled(detail)
             raise RuntimeError(detail)
-        return self._base.node_scores_batch(graphs)
+        return self._base.node_scores(graph)
 
 
-class SlowBatchModel(ChaosModelWrapper):
+class SlowForwardModel(ChaosModelWrapper):
     """Sleep ``delay_s`` before each forward pass (optionally only the
     first ``slow_calls`` of them) to simulate an overloaded or wedged model."""
 
@@ -139,11 +138,11 @@ class SlowBatchModel(ChaosModelWrapper):
         self.delay_s = delay_s
         self.slow_calls = slow_calls
 
-    def node_scores_batch(self, graphs: Sequence[CircuitGraph]) -> list[np.ndarray]:
+    def node_scores(self, graph: CircuitGraph) -> np.ndarray:
         call = self._next_call()
         if self.slow_calls is None or call <= self.slow_calls:
             time.sleep(self.delay_s)
-        return self._base.node_scores_batch(graphs)
+        return self._base.node_scores(graph)
 
 
 def corrupt_artifact(

@@ -25,6 +25,7 @@ RACECHECK_MODULES = (
     "test_obs_fleet",
     "test_router",
     "test_serve_http",
+    "test_serve_service",
 )
 
 

@@ -1,10 +1,9 @@
 """Aggregation-operator cache: exactness, collision safety, memory bounds.
 
-The serving stack's exact batched-vs-single parity promise survives the
-cache only if a cached operator is byte-identical to a fresh build, and the
-segment-offset stack is byte-identical to ``scipy.sparse.block_diag``. Both
-are asserted here at the array level, then end-to-end through the model
-against :func:`block_diag_oracle_scores`, the uncached reference forward.
+A served score must not depend on whether its operator came from the cache,
+so a cached operator must be byte-identical to a fresh build. That is
+asserted here at the array level, then end-to-end through the model against
+:func:`fresh_operator_oracle_scores`, the uncached reference forward.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from m3d_fault_loc.model.aggregate import (
     AggregationOperatorCache,
     build_in_neighbor_mean,
     operator_nbytes,
-    stack_block_diagonal,
     topology_digest,
 )
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
@@ -56,29 +54,6 @@ def test_cached_operator_is_byte_identical_to_fresh_build(graphs):
     assert cache.stats()["misses"] == len(graphs)
 
 
-def test_stack_block_diagonal_matches_scipy_exactly(graphs):
-    ops = [build_in_neighbor_mean(g) for g in graphs[:7]]
-    stacked = stack_block_diagonal(ops)
-    reference = sp.block_diag(ops, format="csr")
-    assert _same_csr(stacked, reference)
-
-
-def test_stack_block_diagonal_handles_edgeless_blocks():
-    # an edgeless graph yields an all-zero operator block
-    empty = sp.csr_matrix((3, 3))
-    dense = build_in_neighbor_mean_from_random(seed=4)
-    stacked = stack_block_diagonal([empty, dense, empty])
-    reference = sp.block_diag([empty, dense, empty], format="csr")
-    assert _same_csr(stacked, reference)
-
-
-def build_in_neighbor_mean_from_random(seed: int) -> sp.csr_matrix:
-    graph = get_scenario("single_delay").generate(
-        ScenarioSpec(n_graphs=1, n_gates=10, n_inputs=3, seed=seed)
-    )[0]
-    return build_in_neighbor_mean(graph)
-
-
 def test_model_scores_identical_with_and_without_cache(graphs):
     """Exact score parity between cached and freshly-built operators, across
     50 randomized graphs — the correctness gate for the whole optimization."""
@@ -92,54 +67,43 @@ def test_model_scores_identical_with_and_without_cache(graphs):
         assert np.array_equal(cached_model.node_scores(graph), fresh)  # warm hit
 
 
-def block_diag_oracle_scores(
-    model: DelayFaultLocalizer, graphs: list[CircuitGraph]
-) -> list[np.ndarray]:
-    """Reference batch forward with no cache and no stacking shortcut: fresh
-    per-graph operators packed by ``sp.block_diag``, then the fused forward
-    written out from the named parameters: each SAGE layer is one product
-    ``[h | m @ h | 1] @ [Ws; Wn; b]``."""
-    sizes = [g.num_nodes for g in graphs]
-    x = np.concatenate([g.x.astype(np.float64) for g in graphs], axis=0)
-    m = sp.block_diag([build_in_neighbor_mean(g) for g in graphs], format="csr")
+def fresh_operator_oracle_scores(model: DelayFaultLocalizer, graph: CircuitGraph) -> np.ndarray:
+    """Reference forward with no cache and no workspace: a freshly built
+    operator, then the fused forward written out from the named parameters:
+    each SAGE layer is one product ``[h | m @ h | 1] @ [Ws; Wn; b]``."""
+    x = graph.x.astype(np.float64)
+    m = build_in_neighbor_mean(graph)
     p = model.params
     ones = np.ones((x.shape[0], 1))
     theta1 = np.vstack([p["W1s"], p["W1n"], p["b1"]])
     theta2 = np.vstack([p["W2s"], p["W2n"], p["b2"]])
     h1 = np.maximum(np.hstack([x, m @ x, ones]) @ theta1, 0.0)
     h2 = np.maximum(np.hstack([h1, m @ h1, ones]) @ theta2, 0.0)
-    logits = (np.einsum("nh,ho->no", h2, p["w3"]) + p["b3"]).ravel()
-    return [part.copy() for part in np.split(logits, np.cumsum(sizes)[:-1])]
+    return (np.einsum("nh,ho->no", h2, p["w3"]) + p["b3"]).ravel()
 
 
-def test_batch_scores_match_block_diag_oracle_exactly(graphs):
-    """The cached, stacked batch forward computes the oracle's floats to the
-    last ulp, on seeded graphs (repeats included, as a warm serving batch
-    sees them) and on the hand-built fixture graphs."""
+def test_scores_match_fresh_operator_oracle_exactly(graphs):
+    """The cached, workspace-backed forward computes the oracle's floats to
+    the last ulp, on seeded graphs (repeats included, as a warm server sees
+    them) and on the hand-built fixture graphs."""
     model = DelayFaultLocalizer(hidden=16, seed=3)
     seeded = [graphs[i % 4] for i in range(9)]
     fixtures = [make_clean_graph(), make_high_fanout_graph(n_sinks=4), make_clean_graph(3)]
-    for batch in (seeded, fixtures):
-        optimized = model.node_scores_batch(batch)
-        oracle = block_diag_oracle_scores(model, batch)
-        assert len(optimized) == len(oracle) == len(batch)
-        for got, want in zip(optimized, oracle, strict=True):
-            assert np.array_equal(got, want)
+    for graph in [*seeded, *fixtures]:
+        assert np.array_equal(model.node_scores(graph), fresh_operator_oracle_scores(model, graph))
 
 
-def test_row_blocked_forward_matches_block_diag_oracle_exactly():
-    """Graphs and batches past the forward's GEMM row block (240 rows at
-    hidden 32) are scored block by block; the floats are still the oracle's
-    single products, and a single graph still matches its batch."""
+def test_row_blocked_forward_matches_fresh_operator_oracle_exactly():
+    """Graphs past the forward's GEMM row block (240 rows at hidden 32) are
+    scored block by block; the floats are still the oracle's single
+    products, whichever graph size the thread's workspace was cut from."""
     big = get_scenario("single_delay").generate(
         ScenarioSpec(n_graphs=3, n_gates=300, n_inputs=6, seed=12)
     )
     assert all(g.num_nodes > 240 for g in big)
     model = DelayFaultLocalizer(hidden=32, seed=3)
-    batched = model.node_scores_batch(big)
-    for got, want, graph in zip(batched, block_diag_oracle_scores(model, big), big, strict=True):
-        assert np.array_equal(got, want)
-        assert np.array_equal(model.node_scores(graph), got)
+    for graph in [*big, *reversed(big)]:
+        assert np.array_equal(model.node_scores(graph), fresh_operator_oracle_scores(model, graph))
 
 
 # -- collision safety -------------------------------------------------------

@@ -7,10 +7,10 @@ Every acceptance behavior of the resilience layer is driven by a shim from
   blocking the worker, and expired queue entries are dropped unscored;
 - a full admission queue sheds with 429 + ``Retry-After`` and a counter;
   the hint is queue-depth derived and jittered within ±20 %;
-- a killed batch worker fails queued futures fast, flips ``/healthz`` to
+- a killed worker fails queued futures fast, flips ``/healthz`` to
   ``degraded``, restarts, and serves again (recovery back to ``ok``); a
   request admitted while the restart backs off waits for the replacement;
-- consecutive batch failures trip the circuit breaker; a half-open probe
+- consecutive forward failures trip the circuit breaker; a half-open probe
   closes it once the model recovers;
 - a corrupt artifact is quarantined and can never become ACTIVE; a corrupt
   hot-reload target keeps the old model serving;
@@ -27,6 +27,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -53,9 +54,9 @@ from m3d_fault_loc.serve.service import LocalizationService
 from m3d_fault_loc.testing.chaos import (
     MALFORMED_PARAM_KEYS,
     UNREADABLE_KINDS,
-    CrashOnNthBatchModel,
+    CrashOnNthForwardModel,
     FlakyIO,
-    SlowBatchModel,
+    SlowForwardModel,
     StubReplica,
     UnreadableArtifact,
     corrupt_artifact,
@@ -117,13 +118,13 @@ def localize_in_thread(service, graph, results, key, **kwargs):
 
 
 def test_deadline_exceeded_is_structured_and_fast(graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.4, slow_calls=1)
+    model = SlowForwardModel(base_model(), delay_s=0.4, slow_calls=1)
     with make_service(model) as service:
         started = time.monotonic()
         with pytest.raises(DeadlineExceededError) as exc_info:
             service.localize(graphs[0], timeout_s=0.05)
         elapsed = time.monotonic() - started
-        assert elapsed < 0.35, "caller must get the 504 before the slow batch finishes"
+        assert elapsed < 0.35, "caller must get the 504 before the slow forward finishes"
         assert exc_info.value.deadline_s == 0.05
         assert service.m_deadline.value == 1
         # The worker is not wedged: once the slow pass ends, service resumes.
@@ -132,11 +133,11 @@ def test_deadline_exceeded_is_structured_and_fast(graphs):
 
 
 def test_expired_queue_entries_are_dropped_without_a_forward_pass(graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.25, slow_calls=1)
+    model = SlowForwardModel(base_model(), delay_s=0.25, slow_calls=1)
     results: dict[str, object] = {}
     with make_service(model) as service:
         t_a = localize_in_thread(service, graphs[0], results, "a", timeout_s=5.0)
-        assert wait_until(lambda: model.batch_calls >= 1), "first request must reach the model"
+        assert wait_until(lambda: model.forward_calls >= 1), "first request must reach the model"
         t_b = localize_in_thread(service, graphs[1], results, "b", timeout_s=0.05)
         t_a.join(timeout=5)
         t_b.join(timeout=5)
@@ -144,11 +145,11 @@ def test_expired_queue_entries_are_dropped_without_a_forward_pass(graphs):
         time.sleep(0.1)  # give the worker a chance to (wrongly) score graph b
         assert isinstance(results["b"], DeadlineExceededError)
         assert not isinstance(results["a"], Exception)
-        assert model.batch_calls == 1, "the expired request must never be scored"
+        assert model.forward_calls == 1, "the expired request must never be scored"
 
 
 def test_http_deadline_maps_to_504(graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.4, slow_calls=1)
+    model = SlowForwardModel(base_model(), delay_s=0.4, slow_calls=1)
     service = make_service(model)
     server = create_server(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -184,12 +185,12 @@ def test_http_deadline_maps_to_504(graphs):
 
 
 def test_full_queue_sheds_with_429_and_counter(graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.3, slow_calls=2)
+    model = SlowForwardModel(base_model(), delay_s=0.3, slow_calls=2)
     results: dict[str, object] = {}
-    service = make_service(model, max_queue=1, max_batch=1)
+    service = make_service(model, max_queue=1)
     with service:
         t_a = localize_in_thread(service, graphs[0], results, "a", timeout_s=5.0)
-        assert wait_until(lambda: model.batch_calls >= 1), "worker must be busy"
+        assert wait_until(lambda: model.forward_calls >= 1), "worker must be busy"
         t_b = localize_in_thread(service, graphs[1], results, "b", timeout_s=5.0)
         assert wait_until(lambda: service.queue_depth() == 1), "queue must be full"
         with pytest.raises(LoadSheddedError) as exc_info:
@@ -203,15 +204,15 @@ def test_full_queue_sheds_with_429_and_counter(graphs):
 
 
 def test_http_shed_maps_to_429_with_retry_after(graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.4, slow_calls=2)
-    service = make_service(model, max_queue=1, max_batch=1)
+    model = SlowForwardModel(base_model(), delay_s=0.4, slow_calls=2)
+    service = make_service(model, max_queue=1)
     server = create_server(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         results: dict[str, object] = {}
         localize_in_thread(service, graphs[0], results, "a", timeout_s=5.0)
-        assert wait_until(lambda: model.batch_calls >= 1)
+        assert wait_until(lambda: model.forward_calls >= 1)
         localize_in_thread(service, graphs[1], results, "b", timeout_s=5.0)
         assert wait_until(lambda: service.queue_depth() == 1)
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
@@ -241,9 +242,9 @@ def test_jittered_bounds_and_validation():
 
 
 def test_shed_retry_after_scales_with_queue_depth(graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.5, slow_calls=None)
+    model = SlowForwardModel(base_model(), delay_s=0.5, slow_calls=None)
     with make_service(
-        model, cache_size=1, max_queue=2, max_batch=1, shed_retry_after_s=1.0
+        model, cache_size=1, max_queue=2, shed_retry_after_s=1.0
     ) as service:
         results: dict[str, object] = {}
         threads = [
@@ -275,17 +276,17 @@ def test_shed_retry_after_scales_with_queue_depth(graphs):
 
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 def test_worker_kill_fails_futures_degrades_health_and_recovers(graphs):
-    # Slow-then-kill: the worker sleeps 0.15s mid-batch, then dies hard,
+    # Slow-then-kill: the worker sleeps 0.15s mid-forward, then dies hard,
     # stranding one in-flight and one queued request for the watchdog.
-    model = SlowBatchModel(
-        CrashOnNthBatchModel(base_model(), crash_on=1, crash_count=1, kill_worker=True),
+    model = SlowForwardModel(
+        CrashOnNthForwardModel(base_model(), crash_on=1, crash_count=1, kill_worker=True),
         delay_s=0.15,
         slow_calls=1,
     )
     results: dict[str, object] = {}
     with make_service(model) as service:
         t_a = localize_in_thread(service, graphs[0], results, "a", timeout_s=10.0)
-        assert wait_until(lambda: model.batch_calls >= 1), "first request must be in flight"
+        assert wait_until(lambda: model.forward_calls >= 1), "first request must be in flight"
         started = time.monotonic()
         t_b = localize_in_thread(service, graphs[1], results, "b", timeout_s=10.0)
         t_a.join(timeout=5)
@@ -306,7 +307,7 @@ def test_worker_kill_fails_futures_degrades_health_and_recovers(graphs):
 
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 def test_healthz_reflects_degraded_and_recovery_over_http(graphs):
-    model = CrashOnNthBatchModel(base_model(), crash_on=1, crash_count=1, kill_worker=True)
+    model = CrashOnNthForwardModel(base_model(), crash_on=1, crash_count=1, kill_worker=True)
     service = make_service(model)
     server = create_server(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -338,7 +339,7 @@ def test_healthz_reflects_degraded_and_recovery_over_http(graphs):
 
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 def test_request_admitted_during_restart_backoff_is_served_by_replacement(graphs):
-    model = CrashOnNthBatchModel(base_model(), crash_on=1, crash_count=1, kill_worker=True)
+    model = CrashOnNthForwardModel(base_model(), crash_on=1, crash_count=1, kill_worker=True)
     service = make_service(
         model, restart_backoff=ExponentialBackoff(base_s=0.3, factor=2.0, max_s=0.3)
     )
@@ -364,7 +365,7 @@ def test_request_admitted_during_restart_backoff_is_served_by_replacement(graphs
         t.join(timeout=5.0)
         assert not isinstance(results["late"], Exception), results["late"]
         assert results["late"].num_nodes == graphs[1].num_nodes
-        assert model.batch_calls == 2, "the replacement worker scored the late request"
+        assert model.forward_calls == 2, "the replacement worker scored the late request"
         assert service.m_worker_restarts.value == 1
         status, health = get_health(server.port)
         assert status == 200 and health["status"] == "ok"
@@ -384,7 +385,7 @@ def service_try(service, graph):
 
 
 def test_stalled_worker_is_superseded(graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.6, slow_calls=1)
+    model = SlowForwardModel(base_model(), delay_s=0.6, slow_calls=1)
     results: dict[str, object] = {}
     with make_service(model, stall_timeout_s=0.1) as service:
         started = time.monotonic()
@@ -392,9 +393,9 @@ def test_stalled_worker_is_superseded(graphs):
         t_a.join(timeout=5)
         elapsed = time.monotonic() - started
         assert isinstance(results["a"], WorkerCrashedError)
-        assert elapsed < 0.55, "stall detection must beat the wedged batch"
+        assert elapsed < 0.55, "stall detection must beat the wedged forward"
         assert service.m_worker_restarts.value >= 1
-        # Replacement worker picks up new requests once the old batch drains.
+        # Replacement worker picks up new requests once the old forward drains.
         assert wait_until(
             lambda: not isinstance(service_try(service, graphs[1]), Exception), timeout=5.0
         )
@@ -404,11 +405,11 @@ def test_stalled_worker_is_superseded(graphs):
 
 
 def test_breaker_trips_sheds_then_probes_closed(graphs):
-    model = CrashOnNthBatchModel(base_model(), crash_on=1, crash_count=2)
+    model = CrashOnNthForwardModel(base_model(), crash_on=1, crash_count=2)
     breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=0.15)
     with make_service(model, breaker=breaker) as service:
         for i in range(2):
-            with pytest.raises(RuntimeError, match="injected batch failure"):
+            with pytest.raises(RuntimeError, match="injected forward failure"):
                 service.localize(graphs[i], timeout_s=5.0)
         assert breaker.state == CircuitBreaker.OPEN
         assert service.m_breaker_trips.value == 1
@@ -417,7 +418,7 @@ def test_breaker_trips_sheds_then_probes_closed(graphs):
         with pytest.raises(CircuitOpenError):
             service.localize(graphs[2], timeout_s=5.0)
         assert service.m_breaker_rejections.value == 1
-        assert model.batch_calls == 2, "an open breaker must not reach the model"
+        assert model.forward_calls == 2, "an open breaker must not reach the model"
 
         time.sleep(0.2)  # reset timeout elapses -> half-open probe allowed
         result = service.localize(graphs[3], timeout_s=5.0)
@@ -603,7 +604,6 @@ def test_serve_cli_accepts_only_one_worker(tmp_path):
         ("--request-timeout-s", "-1"),
         ("--drain-deadline-s", "0"),
         ("--drain-deadline-s", "-1"),
-        ("--max-batch", "0"),
         ("--max-queue", "0"),
         ("--cache-size", "0"),
         ("--max-body-bytes", "0"),
@@ -657,6 +657,40 @@ def test_route_cli_refuses_bad_replica_spec(specs):
     assert "routing on" not in proc.stdout
 
 
+SERVER_CLIS = ("m3d_fault_loc.cli.serve", "m3d_fault_loc.cli.route")
+
+
+def server_cli_args(module, tmp_path):
+    """The arguments ``module`` needs to get as far as binding its port."""
+    if module == "m3d_fault_loc.cli.serve":
+        return ["--model", base_model().save(tmp_path / "model.npz")]
+    return ["--replica", "127.0.0.1:9"]
+
+
+@pytest.mark.parametrize("module", SERVER_CLIS)
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_server_clis_refuse_a_port_out_of_range(tmp_path, module, port):
+    proc = run_cli(module, *server_cli_args(module, tmp_path), "--port", port)
+    assert proc.returncode == 2
+    assert f"argument --port: must be in [0, 65535], got {port}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("module", SERVER_CLIS)
+def test_server_clis_report_a_port_in_use_as_one_bind_error(tmp_path, module):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        proc = run_cli(module, *server_cli_args(module, tmp_path), "--port", port)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("bind error: ")]
+    assert len(errors) == 1, proc.stderr
+    assert f"127.0.0.1:{port}" in errors[0]
+    assert "Traceback" not in proc.stderr
+    assert "on http://" not in proc.stdout
+
+
 def test_registry_retries_transient_io(tmp_path):
     registry = ModelRegistry(tmp_path / "registry", io_attempts=3, io_backoff_s=0.001)
     registry.publish(DelayFaultLocalizer(hidden=4, seed=0))
@@ -679,9 +713,9 @@ def test_registry_gives_up_after_persistent_io_failures(tmp_path):
 
 
 def test_drain_completes_queued_work_and_stops_admission(graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.05)
+    model = SlowForwardModel(base_model(), delay_s=0.05)
     results: dict[str, object] = {}
-    service = make_service(model, max_batch=1)
+    service = make_service(model)
     service.start()
     threads = [
         localize_in_thread(service, graphs[i], results, f"r{i}", timeout_s=10.0)
@@ -702,12 +736,12 @@ def test_drain_completes_queued_work_and_stops_admission(graphs):
 
 
 def test_drain_deadline_fails_leftovers_deterministically(graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.4)
+    model = SlowForwardModel(base_model(), delay_s=0.4)
     results: dict[str, object] = {}
-    service = make_service(model, max_batch=1)
+    service = make_service(model)
     with service:
         t_a = localize_in_thread(service, graphs[0], results, "a", timeout_s=10.0)
-        assert wait_until(lambda: model.batch_calls >= 1)
+        assert wait_until(lambda: model.forward_calls >= 1)
         t_b = localize_in_thread(service, graphs[1], results, "b", timeout_s=10.0)
         assert wait_until(lambda: service.queue_depth() == 1)
         stats = service.drain(0.05)

@@ -248,69 +248,6 @@ def test_library_sources_pass_the_output_rule():
         assert not [v for v in violations if v.rule_id == "M3D207"], source_file
 
 
-# -- M3D208 scipy.sparse block-diagonal construction -----------------------
-
-
-def test_sparse_block_diag_call_warns_in_library_code():
-    src = (
-        "import scipy.sparse as sp\n"
-        "def pack(ops):\n"
-        "    return sp.block_diag(ops, format='csr')\n"
-    )
-    (finding,) = [v for v in lint_source(src, FAKE) if v.rule_id == "M3D208"]
-    assert finding.severity is Severity.WARNING
-    assert "AggregationOperatorCache" in finding.message
-
-
-def test_sparse_block_diag_inside_serve_is_error():
-    src = (
-        "import scipy.sparse\n"
-        "def batch(ops):\n"
-        "    return scipy.sparse.block_diag(ops)\n"
-    )
-    serve_path = Path("src/m3d_fault_loc/serve/batcher.py")
-    (finding,) = [v for v in lint_source(src, serve_path) if v.rule_id == "M3D208"]
-    assert finding.severity is Severity.ERROR
-
-
-def test_block_diag_imported_from_scipy_sparse_flagged():
-    plain = (
-        "from scipy.sparse import block_diag\n"
-        "def pack(ops):\n"
-        "    return block_diag(ops)\n"
-    )
-    aliased = (
-        "from scipy.sparse import block_diag as bd\n"
-        "def pack(ops):\n"
-        "    return bd(ops)\n"
-    )
-    assert "M3D208" in fired(plain)
-    assert "M3D208" in fired(aliased)
-
-
-def test_unrelated_block_diag_helpers_not_flagged():
-    own_helper = (
-        "def block_diag(ops):\n"
-        "    return ops\n"
-        "def pack(ops):\n"
-        "    return block_diag(ops)\n"
-    )
-    foreign_module = (
-        "from mylinalg import tools\n"
-        "def pack(ops):\n"
-        "    return tools.block_diag(ops)\n"
-    )
-    assert "M3D208" not in fired(own_helper)
-    assert "M3D208" not in fired(foreign_module)
-
-
-def test_bench_baseline_suppression_keeps_own_sources_clean():
-    src_root = Path(__file__).resolve().parents[1] / "src" / "m3d_fault_loc"
-    for source_file in sorted(src_root.rglob("*.py")):
-        violations = lint_source(source_file.read_text(), source_file)
-        assert not [v for v in violations if v.rule_id == "M3D208"], source_file
-
-
 # -- M3D209 scenario RNG discipline ----------------------------------------
 
 

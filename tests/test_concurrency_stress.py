@@ -24,7 +24,7 @@ from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.registry import ModelRegistry
 from m3d_fault_loc.serve.resilience import ExponentialBackoff, ResilienceError
 from m3d_fault_loc.serve.service import LocalizationService
-from m3d_fault_loc.testing.chaos import CrashOnNthBatchModel
+from m3d_fault_loc.testing.chaos import CrashOnNthForwardModel
 
 N_CLIENTS = 4
 REQUESTS_PER_CLIENT = 12
@@ -72,12 +72,12 @@ def test_localize_reload_restart_storm_is_race_free(tmp_path, graphs, racecheck_
 
     with service:
         # Kill the worker mid-storm: wrap the live model so the second
-        # batch dies hard and the watchdog must restart the worker while
+        # forward dies hard and the watchdog must restart the worker while
         # clients are queued. The (model, info, prefix) tuple swap is the
         # service's own lock-free hot-reload idiom.
         model, info, prefix = service._model_state
         service._model_state = (
-            CrashOnNthBatchModel(model, crash_on=2, crash_count=1, kill_worker=True),
+            CrashOnNthForwardModel(model, crash_on=2, crash_count=1, kill_worker=True),
             info,
             prefix,
         )

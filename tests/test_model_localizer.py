@@ -99,41 +99,11 @@ def test_save_load_carries_artifact_metadata(tmp_path):
     assert reloaded.artifact_meta == {"epochs": 12, "note": "unit"}
 
 
-def test_batch_inference_matches_per_graph_exactly(dataset):
-    """predict_batch / node_scores_batch are the same floats, not approximations."""
-    model = DelayFaultLocalizer(hidden=16, seed=7)
-    graphs = [dataset[i] for i in range(6)]
-    batched = model.node_scores_batch(graphs)
-    assert len(batched) == len(graphs)
-    for graph, scores in zip(graphs, batched, strict=True):
-        assert scores.shape == (graph.num_nodes,)
-        assert np.array_equal(scores, model.node_scores(graph))
-    assert model.predict_batch(graphs) == [model.predict(g) for g in graphs]
-    assert model.predict_batch([]) == []
-
-
-def test_batch_inference_matches_on_fixture_graphs():
-    from fixture_graphs import make_clean_graph, make_high_fanout_graph
-
-    model = DelayFaultLocalizer(hidden=8, seed=1)
-    graphs = [make_clean_graph(), make_high_fanout_graph(n_sinks=4), make_clean_graph(3)]
-    for graph, scores in zip(graphs, model.node_scores_batch(graphs), strict=True):
-        assert np.array_equal(scores, model.node_scores(graph))
-
-
 def test_same_seed_same_init():
     a = DelayFaultLocalizer(hidden=8, seed=9)
     b = DelayFaultLocalizer(hidden=8, seed=9)
     for key in a.params:
         assert np.array_equal(a.params[key], b.params[key])
-
-
-def test_single_graph_batch_falls_through_to_node_scores(dataset):
-    model = DelayFaultLocalizer(hidden=8, seed=4)
-    graph = dataset[0]
-    (plain,) = model.node_scores_batch([graph])
-    assert np.array_equal(plain, model.node_scores(graph))
-    assert model.agg_cache.stats()["size"] == 1  # one topology key
 
 
 def test_digest_keyed_scoring_hits_operator_cache(dataset):

@@ -15,7 +15,7 @@ from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.resilience import ExponentialBackoff
 from m3d_fault_loc.serve.server import TRACE_HEADER, create_server
 from m3d_fault_loc.serve.service import LocalizationService
-from m3d_fault_loc.testing.chaos import CrashOnNthBatchModel, SlowBatchModel
+from m3d_fault_loc.testing.chaos import CrashOnNthForwardModel, SlowForwardModel
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +144,7 @@ def test_422_contract_violation_carries_trace_id(live, graphs):
 
 
 def test_504_deadline_exceeded_carries_trace_id(live, graphs):
-    server = live(SlowBatchModel(base_model(), delay_s=0.5, slow_calls=1))
+    server = live(SlowForwardModel(base_model(), delay_s=0.5, slow_calls=1))
     status, body, headers = request_raw(
         server.port,
         "POST",
@@ -156,8 +156,8 @@ def test_504_deadline_exceeded_carries_trace_id(live, graphs):
 
 
 def test_429_load_shed_carries_trace_id(live, graphs):
-    model = SlowBatchModel(base_model(), delay_s=0.4, slow_calls=2)
-    server = live(model, max_queue=1, max_batch=1)
+    model = SlowForwardModel(base_model(), delay_s=0.4, slow_calls=2)
+    server = live(model, max_queue=1)
     results = {}
 
     def call(key, graph):
@@ -172,7 +172,7 @@ def test_429_load_shed_carries_trace_id(live, graphs):
         return t
 
     t_a = call("a", graphs[0])
-    assert wait_until(lambda: model.batch_calls >= 1)
+    assert wait_until(lambda: model.forward_calls >= 1)
     t_b = call("b", graphs[1])
     assert wait_until(lambda: server.service.queue_depth() == 1)
     status, body, headers = request_raw(
@@ -229,7 +229,7 @@ def test_debug_traces_returns_completed_traces(live, graphs):
 def test_top_level_stage_durations_sum_to_total_within_10pct(live, graphs):
     # A deliberately slow model makes inference dominate, so the untraced
     # slivers (enqueue, breaker check) are far inside the 10% budget.
-    server = live(SlowBatchModel(base_model(), delay_s=0.08))
+    server = live(SlowForwardModel(base_model(), delay_s=0.08))
     _, body, _ = request_raw(
         server.port, "POST", "/localize", {"graph": graphs[0].to_json_dict()}
     )
@@ -281,7 +281,7 @@ def test_per_stage_histograms_exposed_on_metrics(live, graphs):
 
 
 def test_overlapping_requests_never_cross_contaminate_trace_ids(live, graphs):
-    server = live(SlowBatchModel(base_model(), delay_s=0.05), max_batch=1)
+    server = live(SlowForwardModel(base_model(), delay_s=0.05))
     outcomes = {}
 
     def run(key, graph, trace_id):
@@ -323,7 +323,7 @@ def test_overlapping_requests_never_cross_contaminate_trace_ids(live, graphs):
 
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 def test_worker_crash_logs_and_trace_tagged_with_victim_id(live, graphs, caplog):
-    model = CrashOnNthBatchModel(base_model(), crash_on=1, crash_count=1, kill_worker=True)
+    model = CrashOnNthForwardModel(base_model(), crash_on=1, crash_count=1, kill_worker=True)
     server = live(model, stall_timeout_s=0.05)
     victim = "victim-trace-0000000001"
     with caplog.at_level(logging.WARNING, logger="m3d_fault_loc"):

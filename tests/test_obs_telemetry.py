@@ -7,6 +7,7 @@ import pytest
 from m3d_fault_loc.obs.cli import main as obs_main
 from m3d_fault_loc.obs.telemetry import (
     TelemetryWriter,
+    UnreadableLogError,
     percentile,
     read_jsonl,
     summarize_traces,
@@ -28,6 +29,14 @@ def test_read_jsonl_skips_blank_and_torn_lines(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('{"event": "a"}\n\n{"event": "b"}\n{"event": "c", "x"')
     assert [r["event"] for r in read_jsonl(path)] == ["a", "b"]
+
+
+def test_read_jsonl_missing_file_stays_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError) as exc_info:
+        read_jsonl(tmp_path / "nope.jsonl")
+    assert not isinstance(exc_info.value, UnreadableLogError)
+    with pytest.raises(UnreadableLogError, match="cannot read"):
+        read_jsonl(tmp_path)
 
 
 def test_percentile_edge_cases():
@@ -142,6 +151,40 @@ def test_obs_cli_missing_or_empty_file_exits_2(tmp_path, capsys):
     empty.write_text("\n")
     assert obs_main(["train", str(empty)]) == 2
     assert "m3d-obs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trace", "train", "summarize", "stitch"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_obs_cli_unreadable_input_is_one_line_and_exit_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "input.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"trace_id": "\xff\xfe"}\n')
+    assert obs_main([command, str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"m3d-obs: cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--availability-objective", "5"),
+        ("--availability-objective", "0"),
+        ("--availability-objective", "1"),
+        ("--availability-objective", "nan"),
+        ("--timeout-s", "-1"),
+        ("--timeout-s", "0"),
+        ("--timeout-s", "nan"),
+        ("--timeout-s", "inf"),
+    ],
+)
+def test_obs_cli_fleet_refuses_out_of_range_options(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc_info:
+        obs_main(["fleet", "--replica", "127.0.0.1:9", flag, value])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
 
 
 def test_summarize_training_aggregates_profile_rows():

@@ -85,14 +85,14 @@ def test_end_to_end_localize_cache_reject_metrics(live_server, graph):
     assert rejection["error"] == "contract_violation"
     assert any(v["rule_id"] == "M3D106" for v in rejection["violations"])
 
-    # 4) metrics: non-zero latency/batch observations in both formats
+    # 4) metrics: non-zero latency/forward observations in both formats
     status, metrics = request(live_server, "GET", "/metrics?format=json")
     assert status == 200
     assert metrics["m3d_requests_total"]["value"] == 3
     assert metrics["m3d_contract_rejections_total"]["value"] == 1
     assert metrics["m3d_request_latency_seconds"]["count"] == 2
     assert metrics["m3d_request_latency_seconds"]["sum"] > 0
-    assert metrics["m3d_batch_size"]["count"] == 1
+    assert metrics["m3d_forward_passes_total"]["value"] == 1
 
     status, prom = request(live_server, "GET", "/metrics")
     assert status == 200

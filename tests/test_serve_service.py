@@ -1,4 +1,4 @@
-"""LocalizationService: gating, micro-batching, caching, hot reload."""
+"""LocalizationService: gating, the worker, caching, hot reload."""
 
 import threading
 import time
@@ -95,77 +95,57 @@ def test_contract_violation_rejected_and_counted(graphs):
         assert service.m_forward_passes.value == 0
 
 
-class GatedFirstPassModel(ChaosModelWrapper):
-    """Holds the first forward pass until ``release`` is set; records sizes."""
-
-    def __init__(self, base: DelayFaultLocalizer):
-        super().__init__(base)
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        self.batch_sizes: list[int] = []
-
-    def node_scores_batch(self, graphs):
-        self.batch_sizes.append(len(graphs))
-        if self._next_call() == 1:
-            self.entered.set()
-            assert self.release.wait(30), "test never released the gated forward pass"
-        return self._base.node_scores_batch(graphs)
-
-
-def test_concurrent_requests_are_micro_batched(graphs):
+def test_concurrent_callers_each_get_their_own_graphs_scores():
+    """8 callers, distinct cold graphs: one forward per miss, and every
+    served score is the single-graph forward's float for that graph."""
+    cold = get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=32, n_gates=30, n_inputs=4, seed=11)
+    )
     base = DelayFaultLocalizer(hidden=8, seed=2)
-    model = GatedFirstPassModel(base)
-    service = make_service(model=model, max_batch=8)
     results: dict[int, object] = {}
+    barrier = threading.Barrier(8, timeout=30)
 
-    def call(i: int) -> None:
-        results[i] = service.localize(graphs[i])
+    def call(caller: int) -> None:
+        barrier.wait()
+        for i in range(caller, len(cold), 8):
+            results[i] = service.localize(cold[i], top_k=cold[i].num_nodes)
 
-    with service:
-        first = threading.Thread(target=call, args=(0,))
-        first.start()
-        assert model.entered.wait(30)
-        # The worker is held inside the first forward pass; the next misses
-        # pile up on its queue and must all ride the following pass.
-        rest = [threading.Thread(target=call, args=(i,)) for i in range(1, 6)]
-        for t in rest:
+    with make_service(model=base) as service:
+        threads = [threading.Thread(target=call, args=(c,)) for c in range(8)]
+        for t in threads:
             t.start()
-        deadline = time.monotonic() + 30
-        while service.queue_depth() < len(rest):
-            assert time.monotonic() < deadline, "misses never queued behind the held pass"
-            time.sleep(0.001)
-        model.release.set()
-        for t in [first, *rest]:
-            t.join()
-    assert sorted(results) == list(range(6))
-    assert model.batch_sizes == [1, 5]
-    assert service.m_forward_passes.value == 2
-    assert service.m_batch_size.count == 2
-    assert service.m_graphs.value == 6
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        misses = service.m_requests.value - service.m_cache_hits.value
+        assert service.m_forward_passes.value == misses == len(cold)
+    assert sorted(results) == list(range(len(cold)))
     for i, result in results.items():
-        expected = base.node_scores_batch([graphs[i]])[0]
-        order = np.argsort(expected)[::-1][: len(result.top)]
-        assert [entry["index"] for entry in result.top] == order.tolist()
-        assert [entry["score"] for entry in result.top] == expected[order].tolist()
+        expected = base.node_scores(cold[i])
+        assert result.graph_name == cold[i].name and not result.cached
+        assert [entry["index"] for entry in result.top] == np.argsort(expected)[::-1].tolist()
+        scores = np.full(cold[i].num_nodes, np.nan)
+        for entry in result.top:
+            scores[entry["index"]] = entry["score"]
+        assert np.array_equal(scores, expected)
 
 
-def test_lone_miss_never_blocks_in_collect_batch(monkeypatch):
-    service = make_service(max_batch=4)
-    real_get = service._queue.get
+class OverlongScoresModel(ChaosModelWrapper):
+    """Returns one score more than the graph has nodes."""
 
-    def non_blocking_get(block=True, timeout=None):
-        assert not block, "_collect_batch waited for a partner"
-        return real_get(block, timeout)
+    def node_scores(self, graph):
+        return np.zeros(graph.num_nodes + 1)
 
-    monkeypatch.setattr(service._queue, "get", non_blocking_get)
-    lone, *queued = (object() for _ in range(6))
-    assert service._collect_batch(lone) == [lone]
-    for item in queued:
-        service._queue.put(item)
-    # Whatever is already queued rides along, capped at max_batch.
-    assert service._collect_batch(lone) == [lone, *queued[:3]]
-    assert service._collect_batch(lone) == [lone, queued[3], queued[4]]
-    service.close()
+
+def test_scores_no_result_fits_fail_the_request_instead_of_stranding_it(graphs):
+    model = OverlongScoresModel(DelayFaultLocalizer(hidden=8, seed=2))
+    with make_service(model=model, request_timeout_s=10.0) as service:
+        started = time.monotonic()
+        with pytest.raises(IndexError):
+            service.localize(graphs[0])
+        assert time.monotonic() - started < 5.0, "the future waited out its deadline"
+        assert service.m_errors.value == 1
+        assert service.drain(1.0) == {"failed": 0}
 
 
 def test_clean_graph_warnings_surface_in_result():
