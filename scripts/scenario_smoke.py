@@ -62,7 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     names = scenario_names()
-    _check(len(names) >= 5, f"at least five scenarios registered ({', '.join(names)})")
 
     # Offline half: every scenario generates deterministically and self-gates.
     sample: dict[str, Any] = {}
@@ -103,6 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         _check(port is not None, "server booted and printed its ephemeral port")
         assert port is not None
 
+        served: set[str] = set()
         for name in names:
             status, body = _request(
                 port, "POST", "/localize",
@@ -111,6 +111,11 @@ def main(argv: list[str] | None = None) -> int:
             _check(status == 200, f"{name}: POST /localize round-trips")
             _check(body["scenario"] == name, f"{name}: response echoes the scenario")
             _check(len(body["top"]) == 3, f"{name}: response ranks top-3 nodes")
+            served.add(body["scenario"])
+        _check(
+            bool(served) and served == set(names),
+            f"served every scenario in the table ({', '.join(names)})",
+        )
 
         status, body = _request(
             port, "POST", "/localize",

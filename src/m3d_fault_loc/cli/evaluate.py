@@ -6,12 +6,11 @@ Usage::
         [--data-dir graphs/] [--top-k 3] [--scenario seu_bitflip]
 
 Reports top-1 and top-k localization accuracy plus the scenario's own
-metrics (e.g. ``coverage_at_k`` for ``multi_delay``, ``pearson_r`` for
-``aging_drift``); the dataset passes through the same contract gate as
-training, composed with the scenario's M3D11x rules. ``--metrics-log``
-appends the numbers as an ``eval`` JSONL record tagged with the scenario —
-the same stream ``m3d-train --metrics-log`` writes, summarized by
-``m3d-obs train``.
+metrics (e.g. ``coverage_at_k`` for ``multi_delay`` and ``seu_bitflip``);
+the dataset passes through the same contract gate as training, composed
+with the scenario's M3D11x rules. ``--metrics-log`` appends the numbers as
+an ``eval`` JSONL record tagged with the scenario — the same stream
+``m3d-train --metrics-log`` writes, summarized by ``m3d-obs train``.
 """
 
 from __future__ import annotations
@@ -61,7 +60,11 @@ def main(argv: list[str] | None = None) -> int:
     if not args.model.exists():
         print(f"no such model file: {args.model}", file=sys.stderr)
         return 2
-    model = DelayFaultLocalizer.load(args.model)
+    try:
+        model = DelayFaultLocalizer.load(args.model)
+    except ValueError as exc:
+        print(f"model error: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.data_dir is not None:
             dataset = CircuitGraphDataset.load_dir(args.data_dir, engine=engine)

@@ -338,12 +338,13 @@ class DelayFaultLocalizer:
         and hold finite floating-point values. Any failure raises
         :class:`ModelArtifactError` naming the key, so a malformed artifact
         is refused at load instead of broadcasting into the weights or
-        failing every forward. A file ``np.load`` cannot read as an ``.npz``
-        archive (truncated, not a zip, a bare ``.npy``) raises it too.
+        failing every forward. A path ``np.load`` cannot read as an ``.npz``
+        archive (truncated, not a zip, a bare ``.npy``, a directory) raises
+        it too.
         """
         try:
             payload = np.load(path)
-        except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        except (zipfile.BadZipFile, ValueError, EOFError, IsADirectoryError) as exc:
             raise ModelArtifactError(
                 f"model artifact {path}: not a readable .npz model artifact"
             ) from exc

@@ -1,6 +1,6 @@
 """Fault-scenario platform.
 
-Five built-in scenarios, listed by name in :data:`SCENARIOS`; each bundles
+Four built-in scenarios, listed by name in :data:`SCENARIOS`; each bundles
 a per-netlist sample step (run by the one generation loop,
 :meth:`Scenario.generate`), M3D11x contract rules gating its payloads, and
 an eval metric. See ``docs/scenarios.md`` for adding a scenario, payload

@@ -15,8 +15,8 @@ and score — a bundle of three things:
   422 at the serving gate, never a silently wrong answer;
 - an **eval metric**: ``evaluate(graphs, scores, k)`` scores a model's
   per-node scores (one array per graph, computed once by the caller) on
-  the scenario's own terms (hit@k over a fault set, regression against a
-  drift field, ...) and returns a flat ``{metric: value}`` dict that the
+  the scenario's own terms (hit@1 on the labeled site, coverage@k over a
+  fault set, ...) and returns a flat ``{metric: value}`` dict that the
   CLIs record in telemetry.
 
 Scenario ``meta`` blocks are *optional on inference payloads* — an unlabeled
@@ -54,7 +54,7 @@ class ScenarioSpec:
     """Everything a generator needs: dataset shape + seed + scenario knobs.
 
     ``params`` holds scenario-specific knobs (``k`` simultaneous faults,
-    ``activation_prob``, ``n_flips``, ``hot_fraction`` ...); unknown keys
+    ``activation_prob``, ``n_observations``, ``n_flips``); unknown keys
     are ignored so one spec can be replayed across scenarios.
     """
 

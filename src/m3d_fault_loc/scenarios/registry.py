@@ -14,7 +14,6 @@ rules (M3D11x).
 from __future__ import annotations
 
 from m3d_fault_loc.analysis.engine import GraphRule, RuleConfig, RuleEngine, default_engine
-from m3d_fault_loc.scenarios.aging_drift import AgingDriftScenario
 from m3d_fault_loc.scenarios.base import Scenario
 from m3d_fault_loc.scenarios.intermittent_delay import IntermittentDelayScenario
 from m3d_fault_loc.scenarios.multi_delay import MultiDelayScenario
@@ -26,7 +25,6 @@ from m3d_fault_loc.scenarios.single_delay import SingleDelayScenario
 SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
-        AgingDriftScenario(),
         IntermittentDelayScenario(),
         MultiDelayScenario(),
         SeuBitflipScenario(),

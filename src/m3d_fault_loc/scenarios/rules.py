@@ -13,7 +13,7 @@ Gating policy (documented in ``docs/scenarios.md``):
   scenario — unlabeled inference payloads and pre-scenario clients keep
   working; its scenario blocks are validated only if present;
 - a **tagged** graph must match the engine's scenario (M3D110) and must
-  carry that scenario's block, well-formed (M3D111–M3D115) — a generated
+  carry that scenario's block, well-formed (M3D111–M3D114) — a generated
   payload that lost its physics is rejected, never silently mis-served.
 """
 
@@ -301,57 +301,3 @@ class SeuTransientMaskRule(GraphRule):
                 )
             )
         return findings
-
-
-class AgingDriftFieldRule(GraphRule):
-    """Aging payloads carry a finite, non-negative per-node drift field with
-    at least one aged gate; the label must sit at the drift maximum."""
-
-    id = "M3D115"
-    severity = Severity.ERROR
-    description = "aging_drift payloads carry a valid per-node drift field"
-
-    def check(self, graph: CircuitGraph, config: RuleConfig) -> list[Violation]:
-        tagged = _tag(graph) == "aging_drift"
-        block = _meta(graph).get("aging")
-        loc = f"graph {graph.name}"
-        if block is None:
-            if tagged:
-                return [self.violation('aging_drift graph is missing meta["aging"]', loc)]
-            return []
-        if not isinstance(block, dict):
-            return [self.violation('meta["aging"] must be an object', loc)]
-        drift = block.get("drift")
-        if not isinstance(drift, list) or len(drift) != graph.num_nodes:
-            return [
-                self.violation(
-                    f"drift must be a per-node list of length {graph.num_nodes}", loc
-                )
-            ]
-        findings: list[Violation] = []
-        values: list[float] = []
-        for i, v in enumerate(drift):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                findings.append(
-                    self.violation(f"drift[{i}] must be a finite number, got {v!r}", loc)
-                )
-                return findings
-            if v < 0:
-                findings.append(self.violation(f"drift[{i}] is negative ({v!r})", loc))
-            values.append(float(v))
-        if findings:
-            return findings
-        peak = max(values)
-        if peak <= 0.0:
-            findings.append(self.violation("drift field is all zeros (nothing aged)", loc))
-        elif graph.fault_index is not None and values[graph.fault_index] < peak - 1e-12:
-            findings.append(
-                self.violation(
-                    f"fault_index {graph.fault_index} (drift "
-                    f"{values[graph.fault_index]:.6g}) is not the drift maximum "
-                    f"({peak:.6g})",
-                    loc,
-                )
-            )
-        return findings
-

@@ -576,6 +576,14 @@ def test_serve_cli_refuses_a_model_file_that_is_not_an_npz(tmp_path, kind):
     assert "Traceback" not in proc.stderr
 
 
+def test_serve_cli_refuses_a_model_path_that_is_a_directory(tmp_path):
+    proc = run_serve_cli("--model", tmp_path)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("model error: ")]
+    assert len(errors) == 1 and "not a readable .npz model artifact" in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_serve_cli_refuses_malformed_registry_model(tmp_path):
     """The same artifact is a ``model error`` whether it comes from
     ``--model`` or as the ``--registry``'s active version."""

@@ -30,16 +30,6 @@ SPECS: dict[str, tuple[int, int, int, int, int]] = {
 
 #: sha256 per (scenario, spec), recorded before the single-sort timing path.
 DATASET_DIGESTS: dict[tuple[str, str], str] = {
-    ("aging_drift", "2tier-30"):
-        "9c9657e5661557cd41daaad4bc5d052b514a28353f2e682b21525cd34cce4eff",
-    ("aging_drift", "2tier-120"):
-        "3c5055bb008742f1e1e1fda085ea839b112567f35518ce2dfd309d88b817831a",
-    ("aging_drift", "3tier-120"):
-        "9cae2fbae9d862e6a9d196d27fba16ea11a004fc7ff26097b8359ac10d41e01b",
-    ("aging_drift", "4tier-200"):
-        "25607ff95f993b4b907359990f68722767707ac4ced6b6518d8c3c294c17771c",
-    ("aging_drift", "4tier-30-1in"):
-        "5a1c61beca927e32929d040159b4a78d5c1627bd707d450709c2bdfa750ed685",
     ("intermittent_delay", "2tier-30"):
         "76cf9b59f2c9c3a3ed3e30dbccc6bdda45c3e5628e0634118d9224ee2f949f85",
     ("intermittent_delay", "2tier-120"):

@@ -282,6 +282,13 @@ def test_load_rejects_a_file_that_is_not_an_npz(tmp_path, kind):
         DelayFaultLocalizer.load(path)
 
 
+def test_load_rejects_a_directory(tmp_path):
+    path = tmp_path / "model.npz"
+    path.mkdir()
+    with pytest.raises(ModelArtifactError, match="not a readable .npz model artifact"):
+        DelayFaultLocalizer.load(path)
+
+
 @pytest.mark.parametrize("payload", ["empty", "npy"])
 def test_load_rejects_an_empty_file_and_a_bare_npy(tmp_path, payload):
     path = tmp_path / "bad.npz"

@@ -62,7 +62,6 @@ def test_evaluate_every_scenario_emits_tagged_metrics(trained_model, tmp_path, n
     assert 0.0 <= record["top1"] <= record["top_k_accuracy"] <= 1.0
     # Plus the scenario's own metrics.
     expected = {
-        "aging_drift": {"pearson_r", "drift_mae", "hit_at_k"},
         "multi_delay": {"coverage_at_k", "hit_any_at_k", "hit_all_at_k"},
         "seu_bitflip": {"hit_any_at_k", "coverage_at_k"},
         "intermittent_delay": {"hit_at_1", "hit_at_k"},
@@ -139,8 +138,9 @@ def test_lint_check_scenario_gates_saved_datasets(tmp_path, capsys):
 def test_lint_rules_lists_scenario_family(capsys):
     assert lint_cli.main(["rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("M3D110", "M3D111", "M3D112", "M3D113", "M3D114", "M3D115", "M3D209"):
+    for rule_id in ("M3D110", "M3D111", "M3D112", "M3D113", "M3D114", "M3D209"):
         assert rule_id in out, rule_id
+    assert "M3D115" not in out  # retired with its scenario; never reused
 
 
 def _cli_argv(cli, trained_model, tmp_path):
