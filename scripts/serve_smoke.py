@@ -8,7 +8,9 @@ asserting the counters actually advanced, the trace plumbing (every
 response carries ``X-M3D-Trace-Id``, ``/debug/traces`` shows completed
 traces with stage spans and the per-stage histograms register on
 ``/metrics``), and a full Prometheus-exposition validation via
-``scripts/check_prom.py``. Exits non-zero on any failure.
+``scripts/check_prom.py``. Then it drains the server with SIGTERM and
+reads the ``--trace-log`` back with ``m3d-obs trace --top 3``: the path
+slow-request triage takes. Exits non-zero on any failure.
 
 Usage::
 
@@ -22,6 +24,7 @@ import http.client
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -70,9 +73,11 @@ def main(argv: list[str] | None = None) -> int:
     short_graph["edge_type"]["shape"] = [len(short_graph["edge_type"]["data"])]
     short_graph["name"] = "smoke-short-edge-type"
 
+    tmp = tempfile.TemporaryDirectory(prefix="m3d-serve-smoke-")
+    trace_log = Path(tmp.name) / "traces.jsonl"
     proc = subprocess.Popen(
         [sys.executable, "-m", "m3d_fault_loc.cli.serve", "--model", str(args.model),
-         "--port", "0"],
+         "--port", "0", "--trace-log", str(trace_log)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -127,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
 
         status, debug, _ = _request(port, "GET", "/debug/traces")
         _check(status == 200, "GET /debug/traces responds")
+        _check(set(debug) == {"traces", "stats"}, "debug payload is traces + stats, no slow ring")
         _check(len(debug["traces"]) >= 3, "debug ring holds the completed traces")
         by_id = {t["trace_id"]: t for t in debug["traces"]}
         _check(trace_id in by_id, "the first request's trace is retrievable by id")
@@ -164,14 +170,39 @@ def main(argv: list[str] | None = None) -> int:
         for problem in problems:
             print(f"check_prom: {problem}", file=sys.stderr)
         _check(not problems, "Prometheus exposition passes check_prom validation")
+
+        proc.terminate()
+        out, _ = proc.communicate(timeout=15)
+        _check(proc.returncode == 0 and "drained; exiting" in out, "SIGTERM drains, exit 0")
+        result = subprocess.run(
+            [sys.executable, "-m", "m3d_fault_loc.obs.cli", "trace", str(trace_log),
+             "--top", "3", "--format", "json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if result.returncode != 0:
+            print(result.stderr, file=sys.stderr)
+        _check(result.returncode == 0, "m3d-obs trace reads the trace log")
+        summary = json.loads(result.stdout)
+        _check(summary["traces"] >= 3, "the trace log holds at least 3 traces")
+        slowest = [t["duration_ms"] for t in summary["slowest"]]
+        _check(
+            len(slowest) == 3 and slowest == sorted(slowest, reverse=True),
+            "--top 3 lists the three slowest requests, slowest first",
+        )
+        _check(
+            {"contract_gate", "cache_lookup", "batch_infer"} <= set(summary["stages"]),
+            "trace-log stages cover the pipeline stages",
+        )
         print("serve smoke: PASS")
         return 0
     finally:
-        proc.terminate()
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        if proc.poll() is None:
+            proc.terminate()
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+        tmp.cleanup()
 
 
 if __name__ == "__main__":

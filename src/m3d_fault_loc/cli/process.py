@@ -1,7 +1,7 @@
 """The process shell ``m3d-serve`` and ``m3d-route`` share.
 
 - :func:`add_process_flags` — the flags every server takes (``--host``,
-  ``--drain-deadline-s``, ``--log-level``, ``--trace-log``, ``--slow-ms``,
+  ``--drain-deadline-s``, ``--log-level``, ``--trace-log``,
   ``--trace-capacity``);
 - :func:`configure_process` — JSON logs on stderr and the tracer, tagged
   with the process identity ``m3d-obs stitch`` joins on;
@@ -26,7 +26,8 @@ from types import FrameType
 from typing import Any, Protocol
 
 from m3d_fault_loc.obs.logging import configure_json_logging
-from m3d_fault_loc.obs.trace import JsonlTraceExporter, Tracer
+from m3d_fault_loc.obs.telemetry import TelemetryWriter
+from m3d_fault_loc.obs.trace import Tracer
 from m3d_fault_loc.serve.http import ThreadedHTTPServer
 
 
@@ -50,8 +51,6 @@ def add_process_flags(parser: argparse.ArgumentParser) -> None:
                         help="structured-log threshold (JSON lines on stderr)")
     parser.add_argument("--trace-log", type=Path, default=None,
                         help="append completed traces to this JSONL file")
-    parser.add_argument("--slow-ms", type=float, default=None,
-                        help="traces slower than this land in the slow-trace ring")
     parser.add_argument("--trace-capacity", type=int, default=256,
                         help="completed traces kept in memory")
 
@@ -67,11 +66,8 @@ def configure_process(args: argparse.Namespace, **tags: Any) -> Tracer:
     drain_s = args.drain_deadline_s
     if not (math.isfinite(drain_s) and drain_s > 0):
         raise ValueError(f"drain_deadline_s must be a finite number > 0, got {drain_s}")
-    exporter = None if args.trace_log is None else JsonlTraceExporter(args.trace_log)
-    slow_s = None if args.slow_ms is None else args.slow_ms / 1e3
-    return Tracer(
-        capacity=args.trace_capacity, exporter=exporter, slow_threshold_s=slow_s, tags=tags
-    )
+    sink = None if args.trace_log is None else TelemetryWriter(args.trace_log)
+    return Tracer(capacity=args.trace_capacity, sink=sink, tags=tags)
 
 
 def serve_until_drained(
@@ -115,7 +111,7 @@ def serve_until_drained(
     finally:
         server.server_close()
         target.close()
-        if tracer.exporter is not None:
-            tracer.exporter.close()
+        if tracer.sink is not None:
+            tracer.sink.close()
     print("drained; exiting", flush=True)
     return 0

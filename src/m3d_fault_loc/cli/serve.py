@@ -17,9 +17,9 @@ complete — or fail deterministically — within ``--drain-deadline-s``, and
 the process exits 0. That is the contract a rolling restart relies on.
 
 Observability: structured JSON logs go to stderr (``--log-level`` picks the
-threshold), completed request traces can be appended as JSONL with
-``--trace-log``, and requests slower than ``--slow-ms`` land in the
-slow-request ring exposed by ``GET /debug/traces``.
+threshold), the most recent request traces are served by
+``GET /debug/traces``, and ``--trace-log`` appends every completed trace as
+JSONL; ``m3d-obs trace LOG --top N`` lists the slowest requests in it.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Subcommands:
 
 - ``m3d-obs trace TRACE.jsonl [--top N] [--format json]`` — per-stage
-  latency percentiles (p50/p95/p99/max), status counts, and the slowest
-  requests from a ``--trace-log`` file written by the serving tracer.
-- ``m3d-obs train METRICS.jsonl [--format json]`` (alias: ``summarize``) —
+  latency percentiles (p50/p95/p99/max), status counts, and the ``N``
+  slowest requests from a ``--trace-log`` file written by the serving
+  tracer — where slow-request triage starts.
+- ``m3d-obs train METRICS.jsonl [--format json]`` —
   setup time (dataset synthesis and gating), loss / grad-norm /
   epoch-wall-time trajectory, final held-out accuracy,
   and the per-phase profiler table (``m3d-train --profile``) from a
@@ -200,14 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--format", choices=("text", "json"), default="text")
     trace.set_defaults(func=_cmd_trace)
 
-    for name, help_text in (
-        ("train", "summarize a training metrics log (JSONL)"),
-        ("summarize", "alias for train: summarize a training metrics log"),
-    ):
-        train = sub.add_parser(name, help=help_text)
-        train.add_argument("path", type=Path)
-        train.add_argument("--format", choices=("text", "json"), default="text")
-        train.set_defaults(func=_cmd_train)
+    train = sub.add_parser("train", help="summarize a training metrics log (JSONL)")
+    train.add_argument("path", type=Path)
+    train.add_argument("--format", choices=("text", "json"), default="text")
+    train.set_defaults(func=_cmd_train)
 
     stitch = sub.add_parser(
         "stitch", help="join router + replica trace logs into per-request waterfalls"

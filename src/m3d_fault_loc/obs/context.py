@@ -11,6 +11,9 @@ queued request instead.
 Trace ids are opaque lowercase hex strings. Inbound ids (from an
 ``X-M3D-Trace-Id`` request header) pass through :func:`sanitize_trace_id`
 so a hostile client cannot inject log/JSON payloads through the id.
+
+:data:`NULL_CONTEXT` is the one do-nothing context manager that the
+tracer's and the phase profiler's no-op paths hand out.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ import contextvars
 import re
 import uuid
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+
+#: Shared no-op context manager: a span with no trace, a phase with no profiler.
+NULL_CONTEXT: nullcontext[None] = nullcontext()
 
 _TRACE_ID: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "m3d_trace_id", default=None

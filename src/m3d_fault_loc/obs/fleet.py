@@ -34,6 +34,14 @@ from m3d_fault_loc.serve.metrics import Histogram, _fmt
 LATENCY_METRIC = "m3d_request_latency_seconds"
 REQUESTS_METRIC = "m3d_requests_total"
 ERRORS_METRIC = "m3d_request_errors_total"
+#: Counters whose sum is the SLO's failed requests: worker errors (drained
+#: callers included) and the structured rejections at admission and deadline.
+FAILURE_METRICS = (
+    ERRORS_METRIC,
+    "m3d_shed_total",
+    "m3d_deadline_exceeded_total",
+    "m3d_breaker_rejections_total",
+)
 
 
 def fleet_status(up: int, total: int) -> str:
@@ -221,11 +229,11 @@ class FleetScraper:
         self, replicas: Sequence[dict[str, Any]], merged: dict[str, Any]
     ) -> dict[str, Any]:
         requests = float(merged.get(REQUESTS_METRIC, {}).get("value", 0.0))
-        errors = float(merged.get(ERRORS_METRIC, {}).get("value", 0.0))
+        failures = sum(float(merged.get(name, {}).get("value", 0.0)) for name in FAILURE_METRICS)
         point = {
             "mono": time.monotonic(),
             "requests": requests,
-            "errors": errors,
+            "failures": failures,
             "reachable_frac": (
                 sum(1 for r in replicas if r["reachable"]) / len(replicas)
                 if replicas
@@ -240,11 +248,11 @@ class FleetScraper:
         # the reachability fraction before any requests have flowed).
         oldest, newest = window[0], window[-1]
         d_requests = max(0.0, newest["requests"] - oldest["requests"])
-        d_errors = max(0.0, newest["errors"] - oldest["errors"])
+        d_failures = max(0.0, newest["failures"] - oldest["failures"])
         if d_requests > 0:
-            availability = 1.0 - min(1.0, d_errors / d_requests)
+            availability = 1.0 - min(1.0, d_failures / d_requests)
         elif newest["requests"] > 0:
-            availability = 1.0 - min(1.0, newest["errors"] / newest["requests"])
+            availability = 1.0 - min(1.0, newest["failures"] / newest["requests"])
         else:
             availability = sum(p["reachable_frac"] for p in window) / len(window)
 

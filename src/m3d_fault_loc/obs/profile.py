@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from contextlib import nullcontext
 from contextvars import ContextVar
 from typing import Any
+
+from m3d_fault_loc.obs.context import NULL_CONTEXT
 
 #: The profiler active in this context, if any. ``phase()`` consults it on
 #: every call; ``None`` (the overwhelmingly common case outside ``--profile``
@@ -39,21 +42,6 @@ _ACTIVE: ContextVar["PhaseProfiler | None"] = ContextVar(
 TRAIN_PHASES: tuple[str, ...] = (
     "data_gen", "forward", "backward", "optimizer_step", "eval",
 )
-
-
-class _NullPhase:
-    """Shared do-nothing context manager: the profiler-off fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-NULL_PHASE = _NullPhase()
 
 
 class _PhaseContext:
@@ -165,7 +153,7 @@ class PhaseProfiler:
         return out
 
 
-def phase(name: str) -> _PhaseContext | _NullPhase:
+def phase(name: str) -> _PhaseContext | nullcontext[None]:
     """Bracket one phase of the active profiler; no-op when none is active.
 
     Safe to leave in hot library code unconditionally: the inactive path is
@@ -173,7 +161,7 @@ def phase(name: str) -> _PhaseContext | _NullPhase:
     """
     profiler = _ACTIVE.get()
     if profiler is None:
-        return NULL_PHASE
+        return NULL_CONTEXT
     return profiler.phase(name)
 
 

@@ -5,8 +5,8 @@ synthesis and gating time), one record per epoch (loss, gradient norm,
 learning rate, wall time) and a final record with the held-out accuracy;
 ``m3d-evaluate --metrics-log`` appends its hit@k numbers. The same file
 format is what ``m3d-obs`` summarizes, and the summarizers double as the
-analysis layer for serving trace logs (``--trace-log`` JSONL from
-:class:`~m3d_fault_loc.obs.trace.Tracer`).
+analysis layer for serving trace logs (``--trace-log`` JSONL that
+:class:`~m3d_fault_loc.obs.trace.Tracer` appends through the same writer).
 
 Everything is line-oriented JSON on purpose: appends are atomic enough for
 crash-resumed runs, and ``grep``/``jq`` keep working when ``m3d-obs`` is
@@ -28,16 +28,22 @@ SUMMARY_PERCENTILES: tuple[float, ...] = (50.0, 95.0, 99.0)
 
 
 class TelemetryWriter:
-    """Append-only JSONL event stream (``{"ts": ..., "event": ..., **fields}``)."""
+    """Append-only JSONL stream (lazily opened): telemetry events through
+    :meth:`emit`, finished traces through :meth:`write`."""
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._handle: Any = None
-        self.events_written = 0
 
     def emit(self, event: str, **fields: Any) -> dict[str, Any]:
+        """Append ``{"ts": ..., "event": event, **fields}`` and return it."""
         record = {"ts": round(time.time(), 6), "event": event, **fields}
+        self.write(record)
+        return record
+
+    def write(self, record: dict[str, Any]) -> None:
+        """Append ``record`` as one JSON line, as is."""
         line = json.dumps(record, default=str)
         with self._lock:
             if self._handle is None:
@@ -46,8 +52,6 @@ class TelemetryWriter:
                 self._handle = self.path.open("a", encoding="utf-8")
             self._handle.write(line + "\n")  # m3dlint: disable=M3D302 reason=leaf lock
             self._handle.flush()  # m3dlint: disable=M3D302 reason=leaf lock
-            self.events_written += 1
-        return record
 
     def close(self) -> None:
         with self._lock:

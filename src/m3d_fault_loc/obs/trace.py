@@ -9,43 +9,29 @@ worker — which acts on many requests from one thread — records with
 :meth:`Tracer.record`, passing each victim's trace id explicitly.
 
 Completed traces land in a bounded ring buffer (served by
-``GET /debug/traces``), are appended as JSONL through an optional exporter
-(``--trace-log``), and, when they exceed ``slow_threshold_s``, are kept in
-a separate slow-request ring so the tail survives buffer churn.
+``GET /debug/traces``) and, with ``--trace-log``, are appended as JSONL
+through a :class:`~m3d_fault_loc.obs.telemetry.TelemetryWriter`. Slow
+requests are found in that log: ``m3d-obs trace --top N`` lists the
+slowest, ``m3d-obs stitch --slow-ms N`` filters cross-process waterfalls.
 
-The no-op fast path matters: with ``enabled=False`` (or the shared
-:data:`NULL_TRACER`), :meth:`Tracer.span` returns a singleton null context
-manager and :meth:`Tracer.record` returns immediately — well under 5 µs per
-span, asserted by a micro-benchmark in ``tests/test_obs_trace.py`` — so
-tracing can stay in the hot path unconditionally.
+The no-op fast path matters: with no ambient trace id, :meth:`Tracer.span`
+returns the shared :data:`~m3d_fault_loc.obs.context.NULL_CONTEXT` — well
+under 5 µs per span, asserted by a micro-benchmark in
+``tests/test_obs_trace.py`` — so spans can stay in the hot path
+unconditionally.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
-from pathlib import Path
+from contextlib import nullcontext
 from types import TracebackType
 from typing import Any
 
-from m3d_fault_loc.obs.context import current_trace_id, new_trace_id
-
-
-class _NullSpan:
-    """Shared do-nothing context manager: the disabled-tracer fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
+from m3d_fault_loc.obs.context import NULL_CONTEXT, current_trace_id, new_trace_id
+from m3d_fault_loc.obs.telemetry import TelemetryWriter
 
 
 class _ActiveTrace:
@@ -127,48 +113,19 @@ class _TraceContext:
         return False
 
 
-class JsonlTraceExporter:
-    """Appends one JSON line per completed trace to ``path`` (lazily opened)."""
-
-    def __init__(self, path: Path | str):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._handle: Any = None
-
-    def export(self, trace: dict[str, Any]) -> None:
-        line = json.dumps(trace, default=str)
-        with self._lock:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                # m3dlint: disable=M3D302 reason=leaf lock lazily opening its own sink
-                self._handle = self.path.open("a", encoding="utf-8")
-            self._handle.write(line + "\n")  # m3dlint: disable=M3D302 reason=leaf lock
-            self._handle.flush()  # m3dlint: disable=M3D302 reason=leaf lock
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-
 class Tracer:
     """Thread-safe trace/span recorder with a bounded completed-trace ring."""
 
     def __init__(
         self,
         capacity: int = 256,
-        exporter: JsonlTraceExporter | None = None,
-        slow_threshold_s: float | None = None,
-        slow_capacity: int = 64,
-        enabled: bool = True,
+        sink: TelemetryWriter | None = None,
         tags: dict[str, Any] | None = None,
     ):
-        if capacity < 1 or slow_capacity < 1:
-            raise ValueError("tracer ring capacities must be >= 1")
-        self.enabled = enabled
-        self.exporter = exporter
-        self.slow_threshold_s = slow_threshold_s
+        if capacity < 1:
+            raise ValueError("tracer ring capacity must be >= 1")
+        #: Where finished traces are appended, one JSON line each (``--trace-log``).
+        self.sink = sink
         #: Process-identity tags stamped on every finished trace (e.g.
         #: ``{"process": "router"}`` / ``{"process": "replica", "addr": ...}``)
         #: so cross-process stitching can tell hops apart without relying on
@@ -177,17 +134,13 @@ class Tracer:
         self._lock = threading.Lock()
         self._active: dict[str, _ActiveTrace] = {}
         self._completed: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self._slow: deque[dict[str, Any]] = deque(maxlen=slow_capacity)
         self._dropped_spans = 0
 
     # -- trace lifecycle ---------------------------------------------------
 
-    def trace(
-        self, name: str, trace_id: str | None = None, **meta: Any
-    ) -> _TraceContext | _NullSpan:
-        """Context manager spanning one request; ``NULL_SPAN`` when disabled."""
-        if not self.enabled:
-            return NULL_SPAN
+    def trace(self, name: str, trace_id: str | None = None, **meta: Any) -> _TraceContext:
+        """Context manager spanning one request (``trace_id`` or the ambient
+        one, else a fresh id)."""
         tid = trace_id or current_trace_id() or new_trace_id()
         return _TraceContext(self, tid, name, meta)
 
@@ -218,11 +171,9 @@ class Tracer:
             finished["tags"] = dict(self.tags)
         with self._lock:
             self._completed.append(finished)
-            if self.slow_threshold_s is not None and duration >= self.slow_threshold_s:
-                self._slow.append(finished)
-        if self.exporter is not None:
+        if self.sink is not None:
             try:
-                self.exporter.export(finished)
+                self.sink.write(finished)
             except OSError:  # a full disk must never fail the request
                 pass
         return finished
@@ -235,13 +186,12 @@ class Tracer:
         trace_id: str | None = None,
         parent: str | None = None,
         **meta: Any,
-    ) -> _SpanContext | _NullSpan:
-        """Time one stage of the ambient (or explicit) trace."""
-        if not self.enabled:
-            return NULL_SPAN
+    ) -> _SpanContext | nullcontext[None]:
+        """Time one stage of the ambient (or explicit) trace; a no-op
+        without either."""
         tid = trace_id or current_trace_id()
         if tid is None:
-            return NULL_SPAN
+            return NULL_CONTEXT
         return _SpanContext(self, tid, stage, parent, meta)
 
     def record(
@@ -260,8 +210,6 @@ class Tracer:
         (counted, never raised): the watchdog may fail a request before its
         worker-side spans arrive.
         """
-        if not self.enabled:
-            return
         with self._lock:
             active = self._active.get(trace_id)
         if active is None:
@@ -289,7 +237,7 @@ class Tracer:
         owning the trace lifecycle. Annotations for unknown/finished traces
         are dropped silently, same contract as :meth:`record`.
         """
-        if not self.enabled or not fields:
+        if not fields:
             return
         with self._lock:
             active = self._active.get(trace_id)
@@ -306,21 +254,11 @@ class Tracer:
             items = list(self._completed)
         return list(reversed(items))[: max(0, n)]
 
-    def slow(self, n: int = 20) -> list[dict[str, Any]]:
-        """The ``n`` most recent slow traces (past the threshold), newest first."""
-        with self._lock:
-            items = list(self._slow)
-        return list(reversed(items))[: max(0, n)]
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
                 "active": len(self._active),
                 "completed": len(self._completed),
-                "slow": len(self._slow),
                 "dropped_spans": self._dropped_spans,
             }
 
-
-#: Shared disabled tracer: the zero-configuration no-op fast path.
-NULL_TRACER = Tracer(enabled=False)

@@ -56,7 +56,7 @@ from m3d_fault_loc.obs.context import current_trace_id, new_trace_id
 from m3d_fault_loc.obs.fleet import FleetScraper, fetch_json, fleet_status
 from m3d_fault_loc.obs.logging import get_logger
 from m3d_fault_loc.obs.stitch import PROBE_TRACE_PREFIX
-from m3d_fault_loc.obs.trace import NULL_TRACER, Tracer
+from m3d_fault_loc.obs.trace import Tracer
 from m3d_fault_loc.serve.http import TRACE_HEADER, JSONHandler, ThreadedHTTPServer
 from m3d_fault_loc.serve.metrics import MetricsRegistry
 from m3d_fault_loc.serve.resilience import (
@@ -286,7 +286,7 @@ class ReplicaRouter:
         if not replicas:
             raise ValueError("router needs at least one replica")
         self.policy = policy or RouterPolicy()
-        self.tracer = tracer or NULL_TRACER
+        self.tracer = tracer or Tracer()
         self.replicas = [
             Replica(
                 host,
@@ -436,14 +436,14 @@ class ReplicaRouter:
         attempt can be made, or to a structured 502 when every replica is
         unreachable. Nothing is silently dropped.
 
-        When a tracer is attached, each request emits a ``route`` trace
-        (route decision, per-attempt upstream calls, backoff, failover) to
-        the same trace id forwarded downstream, so ``m3d-obs stitch`` can
-        join the router's view with the replicas'.
+        Each request emits a ``route`` trace (route decision, per-attempt
+        upstream calls, backoff, failover) to the same trace id forwarded
+        downstream, so ``m3d-obs stitch`` can join the router's view with
+        the replicas'.
         """
         trace_ctx = self.tracer.trace("route", method=method, path=urlparse(path).path)
-        trace_id = getattr(trace_ctx, "trace_id", "")
-        if trace_id and not headers.get(TRACE_HEADER):
+        trace_id = trace_ctx.trace_id
+        if not headers.get(TRACE_HEADER):
             # Stamp the id the router is tracing under onto the upstream
             # request, so the replica's trace joins ours in `m3d-obs stitch`
             # even when the client never sent one.

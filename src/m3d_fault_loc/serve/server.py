@@ -19,9 +19,10 @@ Endpoints:
   ``ok``/``degraded``, 503 otherwise).
 - ``GET /metrics`` — Prometheus text by default, JSON with ``?format=json``.
 - ``GET /model`` — active model manifest + cache statistics.
-- ``GET /debug/traces`` — the N most recent completed request traces (and
-  the slow-request ring) from the service tracer, for latency triage
-  without log archaeology.
+- ``GET /debug/traces`` — the N most recent completed request traces from
+  the service tracer, for latency triage without log archaeology (the
+  slowest requests over a whole run come from ``m3d-obs trace --top N``
+  on the ``--trace-log`` file).
 
 Trace ids, the body cap and response framing come from
 :class:`m3d_fault_loc.serve.http.JSONHandler`: every outcome (200/4xx/5xx)
@@ -38,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
@@ -153,14 +153,7 @@ class _Handler(JSONHandler):
                 raise BadRequest('"n" must be an integer') from None
             n = max(1, min(n, MAX_DEBUG_TRACES))
             tracer = self.server.service.tracer
-            self.send_json(
-                200,
-                {
-                    "traces": tracer.recent(n),
-                    "slow": tracer.slow(n),
-                    "stats": tracer.stats(),
-                },
-            )
+            self.send_json(200, {"traces": tracer.recent(n), "stats": tracer.stats()})
         else:
             self.send_json(404, {"error": "not_found", "path": url.path})
 
@@ -202,21 +195,18 @@ class _Handler(JSONHandler):
                 headers={"Retry-After": f"{max(1, round(exc.retry_after_s))}"},
                 retry_after_s=exc.retry_after_s,
             ) from exc
-        except (DeadlineExceededError, FutureTimeoutError) as exc:
-            deadline_s = getattr(exc, "deadline_s", None)
+        except DeadlineExceededError as exc:
             raise ErrorResponse(
                 504,
                 "deadline_exceeded",
-                str(exc) or "localization timed out",
-                deadline_ms=None if deadline_s is None else round(deadline_s * 1e3, 3),
+                str(exc),
+                deadline_ms=None if exc.deadline_s is None else round(exc.deadline_s * 1e3, 3),
             ) from exc
         except WorkerCrashedError as exc:
             raise ErrorResponse(503, "worker_crashed", str(exc)) from exc
+        except ServiceDrainingError as exc:
+            raise ErrorResponse(503, "draining", str(exc)) from exc
         except Exception as exc:
-            if isinstance(exc, ServiceDrainingError) or (
-                isinstance(exc, RuntimeError) and "closed" in str(exc)
-            ):
-                raise ErrorResponse(503, "draining", str(exc)) from exc
             log.exception("localization_failed")
             raise ErrorResponse(500, "internal", "localization failed") from exc
         self.send_json(200, result.to_json_dict())

@@ -61,7 +61,13 @@ import numpy as np
 
 from m3d_fault_loc.analysis.engine import RuleEngine
 from m3d_fault_loc.data.dataset import GraphContractError, gate_graph
-from m3d_fault_loc.scenarios import DEFAULT_SCENARIO, SCENARIOS, build_scenario_engine, get_scenario
+from m3d_fault_loc.scenarios import (
+    DEFAULT_SCENARIO,
+    SCENARIOS,
+    build_scenario_engine,
+    get_scenario,
+    top_k as top_k_indices,
+)
 from m3d_fault_loc.graph.schema import CircuitGraph
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.obs.context import current_trace_id, new_trace_id
@@ -422,7 +428,7 @@ class LocalizationService:
     def start(self) -> None:
         with self._start_lock:
             if self._closed:
-                raise RuntimeError("service is closed")
+                raise ServiceDrainingError("closed")
             if self._worker is None:
                 self._spawn_worker()
             if self._watchdog is None and self.watchdog_interval_s is not None:
@@ -524,13 +530,14 @@ class LocalizationService:
         :class:`~m3d_fault_loc.scenarios.UnknownScenarioError` for an
         unregistered scenario, :class:`LoadSheddedError` when the admission
         queue is full, :class:`CircuitOpenError` while the breaker is open,
-        and :class:`DeadlineExceededError` past the deadline — each a
-        structured rejection rather than a hang or a wrong answer.
+        :class:`DeadlineExceededError` past the deadline, and
+        :class:`ServiceDrainingError` once the service is draining or closed
+        — each a structured rejection rather than a hang or a wrong answer.
         """
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
         if self._closed:
-            raise RuntimeError("service is closed")
+            raise ServiceDrainingError("closed")
         if self._draining:
             raise ServiceDrainingError("draining")
         scenario_name = get_scenario(scenario or DEFAULT_SCENARIO).name
@@ -776,7 +783,9 @@ class LocalizationService:
         pending: _Pending, scores: np.ndarray, info: dict[str, Any]
     ) -> LocalizationResult:
         graph = pending.graph
-        order = np.argsort(scores)[::-1][: pending.top_k]
+        if scores.shape != (graph.num_nodes,):
+            raise ValueError(f"model returned {scores.shape} scores for {graph.num_nodes} nodes")
+        order = top_k_indices(scores, pending.top_k)
         shifted = scores - scores.max()
         probs = np.exp(shifted)
         probs /= probs.sum()

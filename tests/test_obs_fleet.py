@@ -12,12 +12,18 @@ BUCKETS = (0.01, 0.1, 1.0)
 
 
 def metrics_payload(
-    requests: float, errors: float, latencies: list[float] | None = None
+    requests: float,
+    errors: float,
+    latencies: list[float] | None = None,
+    **counters: float,
 ) -> dict[str, Any]:
-    """A realistic ``/metrics?format=json`` payload built by the real registry."""
+    """A realistic ``/metrics?format=json`` payload built by the real registry;
+    ``counters`` adds more counters by name."""
     registry = MetricsRegistry()
     registry.counter("m3d_requests_total", "requests").inc(requests)
     registry.counter("m3d_request_errors_total", "errors").inc(errors)
+    for name, value in counters.items():
+        registry.counter(name, name).inc(value)
     histogram = registry.histogram(
         "m3d_request_latency_seconds", "latency", buckets=BUCKETS
     )
@@ -185,6 +191,29 @@ def test_slo_section(two_stubs):
 
     # the window accumulates across scrapes
     assert scraper.scrape()["slo"]["window_points"] == 2
+
+
+def test_slo_counts_rejected_requests_as_failures():
+    stub = StubReplica(name="shedding").start()
+    try:
+        stub.set_metrics(
+            metrics_payload(
+                40,
+                2,
+                m3d_shed_total=20,
+                m3d_deadline_exceeded_total=5,
+                m3d_breaker_rejections_total=3,
+                m3d_drain_failures_total=2,  # drained callers are already errors
+            )
+        )
+        slo = FleetScraper(
+            members=[stub.key], timeout_s=2.0, availability_objective=0.9
+        ).scrape()["slo"]
+    finally:
+        stub.stop()
+    # 2 errors + 20 shed + 5 past their deadline + 3 breaker rejections of 40
+    assert slo["availability"] == pytest.approx(1.0 - 30 / 40)
+    assert slo["burn_rate"] == pytest.approx((30 / 40) / 0.1, abs=1e-3)
 
 
 def test_slo_availability_falls_back_to_reachability():

@@ -2,8 +2,8 @@
 
 import time
 
+from m3d_fault_loc.obs.context import NULL_CONTEXT
 from m3d_fault_loc.obs.profile import (
-    NULL_PHASE,
     TRAIN_PHASES,
     PhaseProfiler,
     active_profiler,
@@ -13,7 +13,7 @@ from m3d_fault_loc.obs.profile import (
 
 def test_phase_is_null_without_active_profiler():
     assert active_profiler() is None
-    assert phase("forward") is NULL_PHASE
+    assert phase("forward") is NULL_CONTEXT
     with phase("forward"):  # must be harmless anywhere in library code
         pass
 

@@ -194,6 +194,17 @@ def test_503_draining_carries_trace_id(live, graphs):
     assert body["trace_id"] == headers[TRACE_HEADER]
 
 
+def test_503_closed_service_is_draining_with_trace_id(live, graphs):
+    server = live()
+    server.service.close()
+    status, body, headers = request_raw(
+        server.port, "POST", "/localize", {"graph": graphs[0].to_json_dict()}
+    )
+    assert status == 503 and body["error"] == "draining"
+    assert "closed" in body["detail"]
+    assert body["trace_id"] == headers[TRACE_HEADER]
+
+
 def test_400_bad_request_carries_trace_id(live):
     server = live()
     status, body, headers = request_raw(server.port, "POST", "/localize", {"nope": 1})
@@ -214,6 +225,7 @@ def test_debug_traces_returns_completed_traces(live, graphs):
         ids.append(body["trace_id"])
     status, debug, _ = request_raw(server.port, "GET", "/debug/traces")
     assert status == 200
+    assert set(debug) == {"traces", "stats"}
     by_id = {t["trace_id"]: t for t in debug["traces"]}
     assert set(ids) <= set(by_id)
     assert debug["traces"][0]["trace_id"] == ids[-1]  # newest first

@@ -153,7 +153,7 @@ def test_obs_cli_missing_or_empty_file_exits_2(tmp_path, capsys):
     assert "m3d-obs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["trace", "train", "summarize", "stitch"])
+@pytest.mark.parametrize("command", ["trace", "train", "stitch"])
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
 def test_obs_cli_unreadable_input_is_one_line_and_exit_2(tmp_path, capsys, command, kind):
     path = tmp_path / "input.jsonl"
@@ -224,9 +224,6 @@ def test_obs_cli_train_renders_profile_table(tmp_path, capsys):
     assert obs_main(["train", str(path)]) == 0
     out = capsys.readouterr().out
     assert "phase" in out and "forward" in out and "peak_kb" in out
-    # the summarize alias renders the identical report
-    assert obs_main(["summarize", str(path)]) == 0
-    assert capsys.readouterr().out == out
 
 
 def test_obs_cli_stitch_text_json_and_missing_file(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Span tracer: lifecycle, ring buffers, JSONL export, and the no-op budget."""
+"""Span tracer: lifecycle, ring buffer, trace-log sink, and the no-op budget."""
 
 import json
 import threading
@@ -6,8 +6,10 @@ import time
 
 import pytest
 
-from m3d_fault_loc.obs.context import trace_context
-from m3d_fault_loc.obs.trace import NULL_TRACER, JsonlTraceExporter, Tracer
+from m3d_fault_loc.obs.context import NULL_CONTEXT, trace_context
+from m3d_fault_loc.obs.stitch import read_trace_files
+from m3d_fault_loc.obs.telemetry import TelemetryWriter
+from m3d_fault_loc.obs.trace import Tracer
 
 
 def test_trace_records_spans_with_durations():
@@ -60,16 +62,6 @@ def test_ring_buffer_bounded_and_newest_first():
     assert tracer.stats()["completed"] == 3
 
 
-def test_slow_ring_catches_only_threshold_breakers():
-    tracer = Tracer(slow_threshold_s=0.005)
-    with tracer.trace("fast", trace_id="fastfast"):
-        pass
-    with tracer.trace("slow", trace_id="slowslow"):
-        time.sleep(0.01)
-    assert [t["trace_id"] for t in tracer.slow()] == ["slowslow"]
-    assert len(tracer.recent()) == 2
-
-
 def test_record_for_unknown_trace_dropped_not_raised():
     tracer = Tracer()
     tracer.record("never-started", "queue_wait", 0.001)
@@ -77,16 +69,33 @@ def test_record_for_unknown_trace_dropped_not_raised():
     assert tracer.recent() == []
 
 
-def test_jsonl_exporter_appends_completed_traces(tmp_path):
+def test_trace_log_sink_appends_completed_traces(tmp_path):
     path = tmp_path / "traces.jsonl"
-    tracer = Tracer(exporter=JsonlTraceExporter(path))
+    tracer = Tracer(sink=TelemetryWriter(path), tags={"process": "replica"})
     for i in range(2):
-        with tracer.trace("localize", trace_id=f"export-{i:03d}"):
+        with tracer.trace("localize", trace_id=f"export-{i:03d}", graph="g"):
             tracer.record(f"export-{i:03d}", "batch_infer", 0.001)
-    tracer.exporter.close()
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [t["trace_id"] for t in lines] == ["export-000", "export-001"]
-    assert lines[0]["spans"][0]["stage"] == "batch_infer"
+    tracer.sink.close()
+    # one line per trace: the finished dict as is, `json.dumps(..., default=str)`
+    assert path.read_text().splitlines() == [
+        json.dumps(t, default=str) for t in reversed(tracer.recent())
+    ]
+    records = read_trace_files([path])
+    assert [t["trace_id"] for t in records] == ["export-000", "export-001"]
+    assert all(
+        set(t) == {"trace_id", "name", "status", "started_at", "duration_ms", "meta",
+                   "spans", "tags"}
+        for t in records
+    )
+    assert records[0]["spans"][0]["stage"] == "batch_infer"
+    assert records[0]["tags"] == {"process": "replica"}
+
+
+def test_unwritable_trace_log_never_fails_the_request(tmp_path):
+    tracer = Tracer(sink=TelemetryWriter(tmp_path))  # a directory: open() raises
+    with tracer.trace("localize", trace_id="disk-full-1"):
+        pass
+    assert [t["trace_id"] for t in tracer.recent()] == ["disk-full-1"]
 
 
 def test_concurrent_traces_do_not_mix_spans():
@@ -114,24 +123,18 @@ def test_concurrent_traces_do_not_mix_spans():
         assert all(s["meta"]["idx"] == i for s in finished["spans"])
 
 
-def test_disabled_tracer_noop_overhead_under_5us():
+def test_span_without_trace_noop_overhead_under_5us():
+    tracer = Tracer()
+    assert tracer.span("queue_wait") is NULL_CONTEXT
     n = 20_000
-    with trace_context("bench-trace-id"):
-        t0 = time.perf_counter()
-        for _ in range(n):
-            with NULL_TRACER.span("queue_wait"):
-                pass
-        per_span_s = (time.perf_counter() - t0) / n
+    t0 = time.perf_counter()
+    for _ in range(n):
+        with tracer.span("queue_wait"):
+            pass
+    per_span_s = (time.perf_counter() - t0) / n
     assert per_span_s < 5e-6, f"no-op span cost {per_span_s * 1e6:.2f}µs, budget 5µs"
-    assert NULL_TRACER.recent() == []
-
-
-def test_disabled_tracer_records_nothing():
-    tracer = Tracer(enabled=False)
-    with tracer.trace("x", trace_id="disabled-1"):
-        tracer.record("disabled-1", "stage", 0.001)
     assert tracer.recent() == []
-    assert tracer.stats() == {"active": 0, "completed": 0, "slow": 0, "dropped_spans": 0}
+    assert tracer.stats() == {"active": 0, "completed": 0, "dropped_spans": 0}
 
 
 def test_invalid_capacity_rejected():

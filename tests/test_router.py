@@ -488,6 +488,17 @@ def test_router_forwards_its_trace_id_downstream(two_replicas):
     router.close()
 
 
+def test_default_router_traces_and_forwards_its_trace_id(two_replicas):
+    a, b = two_replicas
+    router = make_router(two_replicas)  # no tracer passed: an in-process Tracer()
+    response = router.dispatch("POST", "/localize", b'{"graph": "default-id"}', {})
+    served = a if response.replica == a.key else b
+    (route,) = router.tracer.recent()
+    assert route["name"] == "route"
+    assert served.trace_ids_seen() == [route["trace_id"]]
+    router.close()
+
+
 def test_probe_requests_carry_probe_trace_ids(two_replicas):
     a, _ = two_replicas
     router = make_router(two_replicas, probe_interval_s=0.05)
@@ -529,7 +540,8 @@ def test_failover_waterfall_stitches_across_processes(tmp_path):
     """Integration: real replicas + router, owner killed, logs stitched."""
     from m3d_fault_loc.model.localizer import DelayFaultLocalizer
     from m3d_fault_loc.obs.stitch import stitch_files
-    from m3d_fault_loc.obs.trace import JsonlTraceExporter, Tracer
+    from m3d_fault_loc.obs.telemetry import TelemetryWriter
+    from m3d_fault_loc.obs.trace import Tracer
     from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
     from m3d_fault_loc.serve.server import create_server
     from m3d_fault_loc.serve.service import LocalizationService
@@ -537,7 +549,7 @@ def test_failover_waterfall_stitches_across_processes(tmp_path):
     logs, servers, services, threads = [], [], [], []
     for i in range(2):
         log = tmp_path / f"replica_{i}.jsonl"
-        tracer = Tracer(exporter=JsonlTraceExporter(log))
+        tracer = Tracer(sink=TelemetryWriter(log))
         service = LocalizationService(
             model=DelayFaultLocalizer(hidden=8, seed=4),
             tracer=tracer,
@@ -557,9 +569,7 @@ def test_failover_waterfall_stitches_across_processes(tmp_path):
     router = ReplicaRouter(
         [("127.0.0.1", s.port) for s in servers],
         policy=fast_policy(),
-        tracer=Tracer(
-            exporter=JsonlTraceExporter(router_log), tags={"process": "router"}
-        ),
+        tracer=Tracer(sink=TelemetryWriter(router_log), tags={"process": "router"}),
     )
     try:
         graph = get_scenario("single_delay").generate(

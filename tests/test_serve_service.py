@@ -141,11 +141,25 @@ def test_scores_no_result_fits_fail_the_request_instead_of_stranding_it(graphs):
     model = OverlongScoresModel(DelayFaultLocalizer(hidden=8, seed=2))
     with make_service(model=model, request_timeout_s=10.0) as service:
         started = time.monotonic()
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="scores for"):
             service.localize(graphs[0])
         assert time.monotonic() - started < 5.0, "the future waited out its deadline"
         assert service.m_errors.value == 1
         assert service.drain(1.0) == {"failed": 0}
+
+
+class ConstantScoresModel(ChaosModelWrapper):
+    """Scores every node the same: a ranking made only of ties."""
+
+    def node_scores(self, graph):
+        return np.zeros(graph.num_nodes)
+
+
+def test_tied_scores_are_served_lowest_index_first(graphs):
+    # the tie rule evaluation and the scenario floors score against
+    with make_service(model=ConstantScoresModel(DelayFaultLocalizer(hidden=8, seed=2))) as service:
+        result = service.localize(graphs[0], top_k=3)
+    assert [entry["index"] for entry in result.top] == [0, 1, 2]
 
 
 def test_clean_graph_warnings_surface_in_result():
