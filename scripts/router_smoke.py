@@ -9,9 +9,12 @@ mid-traffic, and asserts the acceptance criterion of the replica tier:
   replays connect- and send-phase failures on the surviving replica);
 - **degraded visibility** — ``/router/healthz`` reports ``degraded-1-of-2``
   once the prober ejects the dead replica;
-- **recovery** — a replacement replica on the same port is readmitted by
-  the half-open probe, health returns to ``ok``, and the restored replica
-  serves traffic again (consistent hashing routes its keys home).
+- **recovery and model change** — a replacement replica on the same port,
+  booted on a second artifact the smoke saves itself, is readmitted by the
+  half-open probe, health returns to ``ok``, and the restored replica serves
+  traffic again (consistent hashing routes its keys home). Its answers name
+  the new artifact's ``model.version`` while the survivor's still name the
+  old one: a model change is a replica replacement behind the router.
 - **lean router** — after serving every phase, the live ``m3d-route``
   process maps no numpy or scipy shared object (read from
   ``/proc/<pid>/maps``): the router holds sockets, a ring and counters.
@@ -45,6 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 
 
@@ -257,20 +261,30 @@ def main(argv: list[str] | None = None) -> int:
         merged_requests = fleet["merged"].get("m3d_requests_total", {}).get("value", 0)
         _check(merged_requests > 0, "fleet merged counters carry survivor traffic")
 
-        # Phase 3: recovery — a replacement replica on the same port is
-        # readmitted through the half-open probe and serves its keys again.
-        replacement = _boot_replica(args.model, port_a)
+        # Phase 3: recovery and model change — a replacement replica on the
+        # same port, serving a second artifact, is readmitted through the
+        # half-open probe and serves its keys again under the new version.
+        old_version = DelayFaultLocalizer.load(args.model).fingerprint()[:12]
+        new_model = DelayFaultLocalizer(hidden=8, seed=1)
+        new_version = new_model.fingerprint()[:12]
+        _check(new_version != old_version, "replacement artifact differs from --model")
+        replacement = _boot_replica(new_model.save(trace_dir / "replacement.npz"), port_a)
         procs.append(replacement)
         _wait_for(lambda: _router_status(router_port) == "ok",
                   timeout_s=15.0, label="healed replica readmitted; router health ok")
+        expected = {victim_key: new_version, survivor_key: old_version}
         restored_seen = set()
-        for payload in payloads[16 + args.requests:]:
-            status, _, headers = _request(router_port, "POST", "/localize", payload)
+        for payload in payloads[16 + args.requests:] + payloads[:16 + args.requests]:
+            status, body, headers = _request(router_port, "POST", "/localize", payload)
             _check(status == 200, f"post-recovery localize ({payload['graph']['name']})")
-            restored_seen.add(headers["X-M3D-Replica"])
-            if victim_key in restored_seen:
+            replica = headers["X-M3D-Replica"]
+            _check(body["model"]["version"] == expected[replica],
+                   f"{replica} answers with model {body['model']['version']}")
+            restored_seen.add(replica)
+            if restored_seen == set(expected):
                 break
         _check(victim_key in restored_seen, "restored replica serves traffic again")
+        _check(survivor_key in restored_seen, "survivor still serves its keys")
 
         numeric = _mapped_numeric_libraries(router.pid)
         _check(not numeric, f"live router process maps no numpy/scipy: {numeric}")

@@ -2,14 +2,13 @@
 
 Usage::
 
-    PYTHONPATH=src python -m m3d_fault_loc.cli.serve --model runs/localizer.npz
-    PYTHONPATH=src python -m m3d_fault_loc.cli.serve --registry runs/registry --port 8080
+    PYTHONPATH=src python -m m3d_fault_loc.cli.serve --model runs/localizer.npz --port 8080
 
-Exactly one model source is required: ``--model`` serves a fixed ``.npz``
-artifact, ``--registry`` serves the registry's active version and hot-reloads
-whenever the activation pointer changes. ``--port 0`` binds an ephemeral
-port; the chosen address is printed as ``serving on http://host:port`` so
-harnesses (CI smoke, tests) can parse it.
+``--model`` is the ``.npz`` artifact the process serves for its whole life;
+to change models, boot a replica on the new artifact behind ``m3d-route``
+and SIGTERM the old one. ``--port 0`` binds an ephemeral port; the chosen
+address is printed as ``serving on http://host:port`` so harnesses (CI
+smoke, tests) can parse it.
 
 ``SIGTERM`` (and ``SIGINT``/Ctrl-C) triggers a graceful drain: admission
 stops (new requests get 503), the listener stops accepting, queued requests
@@ -30,19 +29,15 @@ from pathlib import Path
 
 from m3d_fault_loc.cli import argtypes
 from m3d_fault_loc.cli.process import add_process_flags, configure_process, serve_until_drained
-from m3d_fault_loc.model.localizer import DelayFaultLocalizer, ModelArtifactError
-from m3d_fault_loc.serve.registry import ModelRegistry, ModelRegistryError
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.serve.server import DEFAULT_MAX_BODY_BYTES, create_server
 from m3d_fault_loc.serve.service import LocalizationService
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--model", type=Path, default=None,
-                        help="serve a fixed .npz localizer artifact")
-    source.add_argument("--registry", type=Path, default=None,
-                        help="serve the registry's active model, with hot reload")
+    parser.add_argument("--model", type=Path, required=True,
+                        help="the .npz localizer artifact to serve")
     parser.add_argument("--port", type=argtypes.port_number, default=8361,
                         help="TCP port (0 binds an ephemeral port)")
     parser.add_argument("--cache-size", type=int, default=1024,
@@ -67,39 +62,28 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    model = None
-    if args.model is not None:
-        if not args.model.exists():
-            print(f"no such model file: {args.model}", file=sys.stderr)
-            return 2
-        try:
-            model = DelayFaultLocalizer.load(args.model)
-        except ValueError as exc:
-            print(f"model error: {exc}", file=sys.stderr)
-            return 2
+    if not args.model.exists():
+        print(f"no such model file: {args.model}", file=sys.stderr)
+        return 2
+    try:
+        model = DelayFaultLocalizer.load(args.model)
+    except ValueError as exc:
+        print(f"model error: {exc}", file=sys.stderr)
+        return 2
     try:
         service = LocalizationService(
             model=model,
-            registry=None if args.registry is None else ModelRegistry(args.registry),
             cache_size=args.cache_size,
             max_queue=args.max_queue,
             request_timeout_s=args.request_timeout_s,
             drain_deadline_s=args.drain_deadline_s,
             tracer=tracer,
         )
-        # Inner try: the registry's own I/O errors are OSErrors too.
-        try:
-            server = create_server(
-                service, host=args.host, port=args.port, max_body_bytes=args.max_body_bytes
-            )
-        except OSError as exc:  # port in use, unknown host
-            print(f"bind error: {args.host}:{args.port}: {exc}", file=sys.stderr)
-            return 2
-    except ModelRegistryError as exc:
-        print(f"registry error: {exc}", file=sys.stderr)
-        return 2
-    except ModelArtifactError as exc:  # the registry's active artifact
-        print(f"model error: {exc}", file=sys.stderr)
+        server = create_server(
+            service, host=args.host, port=args.port, max_body_bytes=args.max_body_bytes
+        )
+    except OSError as exc:  # port in use, unknown host
+        print(f"bind error: {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

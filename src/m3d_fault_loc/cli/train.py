@@ -81,7 +81,7 @@ def train(
 
     A NaN/inf loss raises :class:`NonFiniteLossError` immediately — a model
     trained past that point is garbage, and saving it would poison every
-    downstream registry/serving step. Parameters left non-finite by the last
+    replica that serves it. Parameters left non-finite by the last
     step raise it too. ``clip_norm`` (optional) clips each
     accumulated minibatch gradient to that global L2 norm before the
     optimizer step. ``telemetry`` (optional) receives one ``epoch`` event

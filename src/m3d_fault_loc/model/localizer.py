@@ -379,8 +379,9 @@ class DelayFaultLocalizer:
         return model
 
     def fingerprint(self) -> str:
-        """Stable content hash of the weights (used as a cache-key component
-        and as the ad-hoc model identity when serving without a registry)."""
+        """Stable content hash of the weights: the served model's identity
+        on ``/model`` (``sha256``, and its first 12 hex digits as
+        ``version``)."""
         digest = hashlib.sha256()
         for key in sorted(self.params):
             arr = np.ascontiguousarray(self.params[key])

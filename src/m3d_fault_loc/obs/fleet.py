@@ -35,12 +35,14 @@ LATENCY_METRIC = "m3d_request_latency_seconds"
 REQUESTS_METRIC = "m3d_requests_total"
 ERRORS_METRIC = "m3d_request_errors_total"
 #: Counters whose sum is the SLO's failed requests: worker errors (drained
-#: callers included) and the structured rejections at admission and deadline.
+#: callers included) and the structured rejections at admission, deadline
+#: and drain.
 FAILURE_METRICS = (
     ERRORS_METRIC,
     "m3d_shed_total",
     "m3d_deadline_exceeded_total",
     "m3d_breaker_rejections_total",
+    "m3d_drain_rejections_total",
 )
 
 

@@ -4,9 +4,8 @@ Cache keys are *canonical graph digests*: a SHA-256 over every array that
 can influence the model's output (features, topology, tiers, edge types),
 deliberately excluding presentation fields (``name``, ``meta``) and the
 label (``fault_index``) so the same netlist submitted under different names
-hits the same entry. The service prefixes keys with the active model's
-fingerprint, so a hot-reload can never serve results computed by a previous
-model version.
+hits the same entry. A service serves one model for its whole life, so the
+keys carry no model component.
 
 The cache is a bounded, thread-safe LRU — the m3dlint rule M3D205 exists
 precisely so nobody replaces it with a module-level dict that grows with
@@ -72,7 +71,7 @@ class LRUResultCache:
                 self.evictions += 1
 
     def clear(self) -> None:
-        """Drop all entries (hot-reload path); hit/miss stats are kept."""
+        """Drop all entries; hit/miss stats are kept."""
         with self._lock:
             self._entries.clear()
 

@@ -16,8 +16,8 @@ observable* instead of hanging callers or silently degrading:
   the service guards its worker with one, the router each replica.
 - :class:`HealthMonitor` — the ``ok -> degraded -> unhealthy`` state
   machine behind ``/healthz``, driven by worker restarts and recoveries.
-- :class:`ExponentialBackoff` / :func:`retry_with_backoff` — the retry
-  policy used for worker restarts and transient registry I/O.
+- :class:`ExponentialBackoff` — the delay schedule between watchdog
+  restarts of the service's worker.
 
 None of these classes know about HTTP or the model; they are small,
 lock-protected state machines that the service wires together.
@@ -28,8 +28,8 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections.abc import Callable, Iterator
-from typing import Any, TypeVar
+from collections.abc import Callable
+from typing import Any
 
 __all__ = [
     "CircuitBreaker",
@@ -43,10 +43,7 @@ __all__ = [
     "ServiceDrainingError",
     "WorkerCrashedError",
     "jittered",
-    "retry_with_backoff",
 ]
-
-T = TypeVar("T")
 
 
 # -- deadlines -------------------------------------------------------------
@@ -386,33 +383,3 @@ class ExponentialBackoff:
 
     def reset(self) -> None:
         self._attempt = 0
-
-    def delays(self, attempts: int) -> Iterator[float]:
-        for _ in range(attempts):
-            yield self.next_delay()
-
-
-def retry_with_backoff(
-    fn: Callable[[], T],
-    attempts: int = 3,
-    backoff: ExponentialBackoff | None = None,
-    retryable: tuple[type[BaseException], ...] = (OSError,),
-    sleep: Callable[[float], None] = time.sleep,
-) -> T:
-    """Call ``fn`` up to ``attempts`` times, backing off between failures.
-
-    Only exceptions in ``retryable`` are retried; anything else propagates
-    on first raise. The final retryable failure propagates unchanged so
-    callers see the real error, not a wrapper.
-    """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    schedule = backoff or ExponentialBackoff(base_s=0.05)
-    for attempt in range(attempts):
-        try:
-            return fn()
-        except retryable:
-            if attempt == attempts - 1:
-                raise
-            sleep(schedule.next_delay())
-    raise AssertionError("unreachable")  # pragma: no cover

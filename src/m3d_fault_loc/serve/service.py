@@ -38,13 +38,12 @@ Failure modes are explicit and bounded (see
   the restart is pending wait in the queue for the replacement. The
   ``ok``/``degraded``/``unhealthy`` health machine lands on ``/healthz``;
 - draining stops admission, lets queued work finish within a deadline, and
-  fails leftovers deterministically with :class:`ServiceDrainingError`.
+  fails leftovers deterministically with :class:`ServiceDrainingError`;
+  each refused call is counted in ``m3d_drain_rejections_total``.
 
-The registry's activation pointer is polled at request entry and before
-each forward pass: swapping ``ACTIVE`` in the registry hot-reloads the
-model without dropping requests. A reload that fails (corrupt artifact,
-I/O error) keeps the current model serving and is counted, never
-propagated to callers.
+The model, its ``/model`` identity and the cache keys are fixed for the
+life of the service. Changing the served model is a replica replacement
+behind ``m3d-route``.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ from m3d_fault_loc.obs.logging import get_logger
 from m3d_fault_loc.obs.trace import Tracer
 from m3d_fault_loc.serve.cache import LRUResultCache, graph_digest
 from m3d_fault_loc.serve.metrics import MetricsRegistry
-from m3d_fault_loc.serve.registry import ModelManifest, ModelRegistry
 from m3d_fault_loc.serve.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -160,16 +158,11 @@ class _Pending:
 
 
 class LocalizationService:
-    """Thread-safe, queued front end over :class:`DelayFaultLocalizer`.
-
-    Exactly one of ``model`` (fixed ad-hoc artifact) or ``registry``
-    (versioned artifacts + hot reload of the active version) must be given.
-    """
+    """Thread-safe, queued front end over one :class:`DelayFaultLocalizer`."""
 
     def __init__(
         self,
-        model: DelayFaultLocalizer | None = None,
-        registry: ModelRegistry | None = None,
+        model: DelayFaultLocalizer,
         engine: RuleEngine | None = None,
         cache_size: int = 1024,
         request_timeout_s: float | None = 30.0,
@@ -184,15 +177,12 @@ class LocalizationService:
         drain_deadline_s: float = 5.0,
         tracer: Tracer | None = None,
     ):
-        if (model is None) == (registry is None):
-            raise ValueError("pass exactly one of model= or registry=")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if request_timeout_s is not None and not request_timeout_s > 0:
             raise ValueError(f"request_timeout_s must be > 0 or None, got {request_timeout_s}")
         if not drain_deadline_s > 0:
             raise ValueError(f"drain_deadline_s must be > 0, got {drain_deadline_s}")
-        self.registry = registry
         self.max_queue = max_queue
         self.request_timeout_s = request_timeout_s
         self.shed_retry_after_s = shed_retry_after_s
@@ -214,11 +204,9 @@ class LocalizationService:
         self._restart_at: float | None = None
         self._watchdog: threading.Thread | None = None
         self._start_lock = threading.Lock()
-        self._reload_lock = threading.Lock()
         self._stop_requested = threading.Event()
         self._draining = False
         self._closed = False
-        self._failed_ref: tuple[str, str] | None = None
         self.tracer = tracer or Tracer()
 
         self.metrics = metrics or MetricsRegistry()
@@ -233,10 +221,6 @@ class LocalizationService:
         self.m_errors = m.counter("m3d_request_errors_total", "requests failed inside the worker")
         self.m_forward_passes = m.counter(
             "m3d_forward_passes_total", "model forward passes executed"
-        )
-        self.m_reloads = m.counter("m3d_model_reloads_total", "hot reloads of the active model")
-        self.m_reload_failures = m.counter(
-            "m3d_model_reload_failures_total", "hot reloads refused (corrupt artifact, I/O error)"
         )
         self.m_shed = m.counter(
             "m3d_shed_total", "requests shed because the admission queue was full"
@@ -255,6 +239,9 @@ class LocalizationService:
         )
         self.m_drain_failed = m.counter(
             "m3d_drain_failures_total", "requests failed at the drain deadline"
+        )
+        self.m_drain_rejections = m.counter(
+            "m3d_drain_rejections_total", "requests refused while draining or closed"
         )
         self.m_queue_depth = m.gauge("m3d_queue_depth", "requests waiting in the admission queue")
         self.m_breaker_state = m.state_gauge(
@@ -291,14 +278,17 @@ class LocalizationService:
         )
         self.m_health_state.set_state(self._health.status)
 
-        if registry is not None:
-            loaded, manifest = registry.load_active()
-            self._active_ref: tuple[str, str] | None = (manifest.name, manifest.version)
-            self._install_model(loaded, manifest)
-        else:
-            assert model is not None
-            self._active_ref = None
-            self._install_model(model, None)
+        self._model = model
+        fingerprint = model.fingerprint()
+        self._model_info: dict[str, Any] = {
+            "source": "adhoc",
+            "name": "adhoc",
+            "version": fingerprint[:12],
+            "sha256": fingerprint,
+            "in_dim": model.in_dim,
+            "hidden": model.hidden,
+            "metadata": dict(model.artifact_meta),
+        }
 
     # -- admission queue ---------------------------------------------------
 
@@ -338,33 +328,13 @@ class LocalizationService:
 
     # -- model identity ----------------------------------------------------
 
-    def _install_model(self, model: DelayFaultLocalizer, manifest: ModelManifest | None) -> None:
-        if manifest is not None:
-            info = {"source": "registry", **manifest.to_json_dict()}
-            prefix = manifest.sha256
-        else:
-            fingerprint = model.fingerprint()
-            info = {
-                "source": "adhoc",
-                "name": "adhoc",
-                "version": fingerprint[:12],
-                "sha256": fingerprint,
-                "in_dim": model.in_dim,
-                "hidden": model.hidden,
-                "metadata": dict(model.artifact_meta),
-            }
-            prefix = fingerprint
-        # Single-attribute swap keeps (model, info, cache prefix) consistent
-        # for readers on other threads without a lock.
-        self._model_state: tuple[DelayFaultLocalizer, dict[str, Any], str] = (model, info, prefix)
-
     def describe_model(self) -> dict[str, Any]:
-        """Identity of the model currently answering requests (``/model``)."""
-        return dict(self._model_state[1])
+        """Identity of the model answering requests (``/model``)."""
+        return dict(self._model_info)
 
     def cache_stats(self) -> dict[str, Any]:
         stats: dict[str, Any] = self._cache.stats()
-        agg = getattr(self._model_state[0], "agg_cache", None)
+        agg = getattr(self._model, "agg_cache", None)
         if agg is not None:
             stats["agg_operator"] = agg.stats()
         return stats
@@ -385,43 +355,6 @@ class LocalizationService:
             "queue_depth": self.queue_depth(),
             "draining": bool(self._draining or self._closed),
         }
-
-    def _maybe_reload(self) -> None:
-        """Swap in the registry's active model if the pointer moved.
-
-        Runs at request entry (before the cache lookup, so a swap can never
-        serve a previous model's cached answer) and again in the worker
-        before each forward pass. A reload that fails — quarantined
-        artifact, I/O error — keeps the current model serving, increments
-        ``m3d_model_reload_failures_total``, and is not retried until the
-        pointer moves again.
-        """
-        if self.registry is None:
-            return
-        try:
-            ref = self.registry.active_ref()
-        except Exception:
-            log.exception("active_pointer_read_failed", keeping=self._active_ref)
-            self.m_reload_failures.inc()
-            return
-        if ref is None or ref == self._active_ref or ref == self._failed_ref:
-            return
-        with self._reload_lock:
-            if ref == self._active_ref or ref == self._failed_ref:
-                return
-            try:
-                model, manifest = self.registry.load(*ref)
-            except Exception:
-                log.exception("hot_reload_failed", target=ref, keeping=self._active_ref)
-                self._failed_ref = ref
-                self.m_reload_failures.inc()
-                return
-            self._install_model(model, manifest)
-            self._active_ref = ref
-            self._failed_ref = None
-            self._cache.clear()
-            self.m_reloads.inc()
-            log.info("model_reloaded", name=ref[0], version=ref[1])
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -536,10 +469,10 @@ class LocalizationService:
         """
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
-        if self._closed:
-            raise ServiceDrainingError("closed")
-        if self._draining:
-            raise ServiceDrainingError("draining")
+        if self._closed or self._draining:
+            self.m_requests.inc()
+            self.m_drain_rejections.inc()
+            raise ServiceDrainingError("closed" if self._closed else "draining")
         scenario_name = get_scenario(scenario or DEFAULT_SCENARIO).name
         self.start()
         started = time.perf_counter()
@@ -588,10 +521,8 @@ class LocalizationService:
             )
 
         t0 = time.perf_counter()
-        self._maybe_reload()
         digest = graph_digest(graph)
-        _, _, prefix = self._model_state
-        key = f"{prefix}:{scenario}:{top_k}:{digest}"
+        key = f"{scenario}:{top_k}:{digest}"
         hit = self._cache.get(key)
         self._observe_stage(
             "cache_lookup", trace_id, time.perf_counter() - t0, hit=hit is not None
@@ -666,7 +597,6 @@ class LocalizationService:
                 with self._flight_lock:
                     if self._gen == gen:
                         self._in_flight = p
-                self._maybe_reload()
                 self._infer(p)
                 with self._flight_lock:
                     if self._gen == gen:
@@ -678,14 +608,13 @@ class LocalizationService:
 
     def _infer(self, p: _Pending) -> None:
         """One forward pass for one request; resolves its future."""
-        model, info, prefix = self._model_state
         t0 = time.perf_counter()
         try:
-            scores = model.node_scores(p.graph)
+            scores = self._model.node_scores(p.graph)
             infer_s = time.perf_counter() - t0
             # Guarded too: scores no result can be built from fail this
             # request instead of leaving its future unresolved.
-            result = self._build_result(p, scores, info)
+            result = self._build_result(p, scores, self._model_info)
         except Exception as exc:
             self._breaker.record_failure()
             log.error("forward_failed", trace_id=p.trace_id, error=type(exc).__name__)
@@ -696,7 +625,7 @@ class LocalizationService:
         self._health.record_success()
         self._backoff.reset()
         self.m_forward_passes.inc()
-        self._cache.put(f"{prefix}:{p.scenario}:{p.top_k}:{p.digest}", result)
+        self._cache.put(f"{p.scenario}:{p.top_k}:{p.digest}", result)
         p.complete(result)
 
     # -- supervision -------------------------------------------------------

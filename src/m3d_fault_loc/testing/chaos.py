@@ -9,16 +9,12 @@ number of times — chaos tests must be reproducible, never probabilistic:
   takes the whole worker thread down, exercising the watchdog.
 - :class:`SlowForwardModel` — sleeps before each forward pass to exercise
   deadlines, queue back-pressure, and stall detection.
-- :func:`corrupt_artifact` — tampers with a published registry artifact on
-  disk so checksum verification (and quarantine) can be exercised.
-- :func:`malformed_model` — a model whose saved artifact has an intact
-  checksum but one broken parameter, so load-time validation (and a
-  refused hot reload) can be exercised.
-- :class:`UnreadableArtifact` — a publishable stand-in whose saved file is
-  no ``.npz`` at all (a truncated zip, random bytes), so load-time reading
-  (and a refused hot reload) can be exercised.
-- :class:`FlakyIO` — a callable for ``ModelRegistry.io_fault_hook`` that
-  raises for the first N I/O attempts, exercising retry-with-backoff.
+- :func:`malformed_model` — a model whose saved artifact is a readable
+  ``.npz`` with one broken parameter, so load-time validation (and
+  ``m3d-serve --model``'s refusal) can be exercised.
+- :class:`UnreadableArtifact` — a stand-in whose saved file is no ``.npz``
+  at all (a truncated zip, random bytes), so load-time reading (and
+  ``m3d-serve --model``'s refusal) can be exercised.
 
 Network/replica-level faults for the router tier:
 
@@ -43,7 +39,6 @@ import numpy as np
 from m3d_fault_loc.graph.schema import CircuitGraph
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.serve.http import TRACE_HEADER, JSONHandler, ThreadedHTTPServer
-from m3d_fault_loc.serve.registry import ModelRegistry
 
 
 class WorkerKilled(BaseException):
@@ -61,8 +56,8 @@ class ChaosModelWrapper:
 
     Subclasses override :meth:`node_scores` to inject faults; every
     other attribute (``in_dim``, ``hidden``, ``params``, ``fingerprint``,
-    ``save``, …) passes straight through so the service, registry, and
-    cache cannot tell a chaos model from a healthy one until it misbehaves.
+    ``save``, …) passes straight through so the service and cache cannot
+    tell a chaos model from a healthy one until it misbehaves.
     """
 
     def __init__(self, base: DelayFaultLocalizer):
@@ -145,29 +140,6 @@ class SlowForwardModel(ChaosModelWrapper):
         return self._base.node_scores(graph)
 
 
-def corrupt_artifact(
-    registry: ModelRegistry, name: str, version: str, mode: str = "append"
-) -> Path:
-    """Tamper with a published artifact on disk; returns the artifact path.
-
-    Modes: ``append`` (extra trailing bytes — checksum mismatch, file still
-    loads as npz), ``truncate`` (drop the tail — mismatch *and* unreadable),
-    ``flip`` (flip one byte in the middle).
-    """
-    artifact = registry.root / "models" / name / version / "model.npz"
-    raw = artifact.read_bytes()
-    if mode == "append":
-        artifact.write_bytes(raw + b"\x00chaos")
-    elif mode == "truncate":
-        artifact.write_bytes(raw[: max(1, len(raw) // 2)])
-    elif mode == "flip":
-        mid = len(raw) // 2
-        artifact.write_bytes(raw[:mid] + bytes([raw[mid] ^ 0xFF]) + raw[mid + 1 :])
-    else:
-        raise ValueError(f"unknown corruption mode: {mode!r}")
-    return artifact
-
-
 #: :func:`malformed_model` kinds -> the parameter key each one breaks.
 MALFORMED_PARAM_KEYS = {
     "short_b1": "b1",
@@ -213,8 +185,8 @@ class UnreadableArtifact:
     cannot read as an ``.npz``: a real artifact cut in half (it still starts
     with the zip magic) or seeded random bytes of the same length.
 
-    ``ModelRegistry.publish`` accepts it, so the published checksum matches
-    the broken bytes and only reading the file can refuse it.
+    Only reading the file can refuse it: the path exists and nothing about
+    its name says it is broken.
     """
 
     def __init__(self, kind: str, hidden: int = 8, seed: int = 0):
@@ -222,8 +194,6 @@ class UnreadableArtifact:
             raise ValueError(f"unknown unreadable artifact: {kind!r}")
         self.kind = kind
         self._model = DelayFaultLocalizer(hidden=hidden, seed=seed)
-        self.in_dim = self._model.in_dim
-        self.hidden = hidden
 
     def save(self, path: str | Path, metadata: dict[str, Any] | None = None) -> Path:
         path = self._model.save(path, metadata=metadata)
@@ -233,29 +203,6 @@ class UnreadableArtifact:
         else:
             path.write_bytes(np.random.default_rng(0).bytes(len(raw)))
         return path
-
-
-class FlakyIO:
-    """Callable for ``ModelRegistry.io_fault_hook``: fail the first N
-    I/O attempts with ``exc_type``, then behave forever after.
-
-    Exercises the registry's retry-with-backoff without touching the real
-    filesystem — the hook fires *before* each read attempt.
-    """
-
-    def __init__(self, failures: int, exc_type: type[OSError] = OSError):
-        if failures < 0:
-            raise ValueError(f"failures must be >= 0, got {failures}")
-        self.failures = failures
-        self.exc_type = exc_type
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def __call__(self) -> None:
-        with self._lock:
-            self.calls += 1
-            if self.calls <= self.failures:
-                raise self.exc_type(f"injected transient I/O failure {self.calls}")
 
 
 class _StubReplicaHandler(JSONHandler):

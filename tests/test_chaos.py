@@ -12,15 +12,13 @@ Every acceptance behavior of the resilience layer is driven by a shim from
   request admitted while the restart backs off waits for the replacement;
 - consecutive forward failures trip the circuit breaker; a half-open probe
   closes it once the model recovers;
-- a corrupt artifact is quarantined and can never become ACTIVE; a corrupt
-  hot-reload target keeps the old model serving;
 - draining completes queued work within its deadline, fails leftovers
-  deterministically (also mid hot reload), and SIGTERM drives the whole
-  sequence end-to-end;
+  deterministically, counts every refused call, and SIGTERM drives the
+  whole sequence end-to-end;
 - the serve CLI refuses an invalid config with one ``config error:`` line
-  and a malformed artifact (``--model`` or the ``--registry``'s active
-  version) with one ``model error:`` line, exit 2, never a traceback or a
-  server that fails every request.
+  and a malformed or unreadable ``--model`` artifact with one
+  ``model error:`` line, exit 2, never a traceback or a server that fails
+  every request.
 """
 
 import http.client
@@ -38,7 +36,6 @@ import pytest
 
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
-from m3d_fault_loc.serve.registry import ModelRegistry, ModelRegistryError
 from m3d_fault_loc.serve.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -55,11 +52,9 @@ from m3d_fault_loc.testing.chaos import (
     MALFORMED_PARAM_KEYS,
     UNREADABLE_KINDS,
     CrashOnNthForwardModel,
-    FlakyIO,
     SlowForwardModel,
     StubReplica,
     UnreadableArtifact,
-    corrupt_artifact,
     malformed_model,
 )
 
@@ -427,82 +422,7 @@ def test_breaker_trips_sheds_then_probes_closed(graphs):
         assert service.metrics.to_json_dict()["m3d_breaker_state"]["state"] == "closed"
 
 
-# -- registry: quarantine + retry ------------------------------------------
-
-
-def test_corrupt_artifact_is_quarantined_and_never_activated(tmp_path):
-    registry = ModelRegistry(tmp_path / "registry")
-    v1 = registry.publish(DelayFaultLocalizer(hidden=4, seed=0))
-    v2 = registry.publish(DelayFaultLocalizer(hidden=4, seed=1), activate=False)
-    corrupt_artifact(registry, v2.name, v2.version)
-
-    with pytest.raises(ModelRegistryError, match="checksum mismatch"):
-        registry.activate(v2.name, v2.version)
-
-    assert registry.active_ref() == (v1.name, v1.version), "ACTIVE pointer unchanged"
-    assert registry.list_versions(v2.name) == [v1.version], "corrupt version removed"
-    assert registry.list_quarantined() == [(v2.name, v2.version)]
-    assert (tmp_path / "registry" / "quarantine" / v2.name / v2.version).is_dir()
-    # The quarantined version cannot be re-activated: it no longer exists.
-    with pytest.raises(ModelRegistryError, match="no such model version"):
-        registry.activate(v2.name, v2.version)
-
-
-def test_corrupt_hot_reload_target_keeps_old_model_serving(tmp_path, graphs):
-    registry = ModelRegistry(tmp_path / "registry")
-    registry.publish(DelayFaultLocalizer(hidden=8, seed=0))
-    with LocalizationService(
-        registry=registry, watchdog_interval_s=0.03
-    ) as service:
-        assert service.localize(graphs[0]).model_version == "v0001"
-
-        v2 = registry.publish(DelayFaultLocalizer(hidden=8, seed=9))  # activates v0002
-        corrupt_artifact(registry, v2.name, v2.version)
-        result = service.localize(graphs[1])
-        assert result.model_version == "v0001", "corrupt reload target must be refused"
-        assert service.m_reload_failures.value >= 1
-        assert registry.list_quarantined() == [(v2.name, v2.version)]
-
-        failures_after = service.m_reload_failures.value
-        service.localize(graphs[2])
-        assert service.m_reload_failures.value == failures_after, (
-            "a failed ref is not re-tried until the pointer moves"
-        )
-
-        # Explicit version: the quarantined v0002 left models/, so auto
-        # numbering would reuse its name — which the failed-ref memo ignores.
-        registry.publish(DelayFaultLocalizer(hidden=8, seed=42), version="v0003")
-        assert service.localize(graphs[3]).model_version == "v0003"
-
-
-@pytest.mark.parametrize("kind", MALFORMED_PARAM_KEYS)
-def test_malformed_hot_reload_target_keeps_old_model_serving(tmp_path, graphs, kind):
-    """The artifact's checksum is intact; load-time validation refuses it."""
-    registry = ModelRegistry(tmp_path / "registry")
-    registry.publish(DelayFaultLocalizer(hidden=8, seed=0))
-    with LocalizationService(registry=registry) as service:
-        assert service.localize(graphs[0]).model_version == "v0001"
-        failures = service.m_reload_failures.value
-
-        registry.publish(malformed_model(kind, hidden=8, seed=9))  # activates v0002
-        result = service.localize(graphs[1])
-        assert result.model_version == "v0001", "a malformed reload target must be refused"
-        assert service.m_reload_failures.value == failures + 1
-
-
-@pytest.mark.parametrize("kind", UNREADABLE_KINDS)
-def test_unreadable_hot_reload_target_keeps_old_model_serving(tmp_path, graphs, kind):
-    """The checksum matches the broken bytes; reading the file refuses it."""
-    registry = ModelRegistry(tmp_path / "registry")
-    registry.publish(DelayFaultLocalizer(hidden=8, seed=0))
-    with LocalizationService(registry=registry) as service:
-        assert service.localize(graphs[0]).model_version == "v0001"
-        failures = service.m_reload_failures.value
-
-        registry.publish(UnreadableArtifact(kind))  # activates v0002
-        result = service.localize(graphs[1])
-        assert result.model_version == "v0001", "an unreadable reload target must be refused"
-        assert service.m_reload_failures.value == failures + 1
+# -- CLI refusals ----------------------------------------------------------
 
 
 def cli_env():
@@ -584,17 +504,19 @@ def test_serve_cli_refuses_a_model_path_that_is_a_directory(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_serve_cli_refuses_malformed_registry_model(tmp_path):
-    """The same artifact is a ``model error`` whether it comes from
-    ``--model`` or as the ``--registry``'s active version."""
-    registry = ModelRegistry(tmp_path / "registry")
-    registry.publish(malformed_model("short_b1"))
-    proc = run_serve_cli("--registry", registry.root)
-    assert proc.returncode == 2
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("model error: ")]
-    assert len(errors) == 1 and "'b1'" in errors[0], proc.stderr
-    assert "config error" not in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_serve_cli_serves_only_a_model_file(tmp_path):
+    """``--model`` is required and the only model source; there is no
+    registry to serve from."""
+    artifact = base_model().save(tmp_path / "model.npz")
+    cases = [
+        (("--registry", tmp_path), "the following arguments are required: --model"),
+        (("--model", artifact, "--registry", tmp_path), "unrecognized arguments: --registry"),
+    ]
+    for args, error in cases:
+        proc = run_serve_cli(*args)
+        assert proc.returncode == 2
+        assert error in proc.stderr, proc.stderr
+        assert "serving on" not in proc.stdout
 
 
 def test_serve_cli_accepts_only_one_worker(tmp_path):
@@ -699,24 +621,6 @@ def test_server_clis_report_a_port_in_use_as_one_bind_error(tmp_path, module):
     assert "on http://" not in proc.stdout
 
 
-def test_registry_retries_transient_io(tmp_path):
-    registry = ModelRegistry(tmp_path / "registry", io_attempts=3, io_backoff_s=0.001)
-    registry.publish(DelayFaultLocalizer(hidden=4, seed=0))
-    flaky = FlakyIO(failures=2)
-    registry.io_fault_hook = flaky
-    model, manifest = registry.load_active()
-    assert manifest.version == "v0001" and model.hidden == 4
-    assert flaky.calls >= 3, "the first two attempts must have failed and been retried"
-
-
-def test_registry_gives_up_after_persistent_io_failures(tmp_path):
-    registry = ModelRegistry(tmp_path / "registry", io_attempts=2, io_backoff_s=0.001)
-    registry.publish(DelayFaultLocalizer(hidden=4, seed=0))
-    registry.io_fault_hook = FlakyIO(failures=100)
-    with pytest.raises(OSError, match="injected transient"):
-        registry.load_active()
-
-
 # -- graceful drain --------------------------------------------------------
 
 
@@ -743,6 +647,18 @@ def test_drain_completes_queued_work_and_stops_admission(graphs):
     service.close()
 
 
+def test_refusals_while_draining_are_counted(graphs):
+    """A refused call is a request the fleet SLO must see as failed."""
+    with make_service(base_model()) as service:
+        service.begin_drain()
+        for graph in graphs[:3]:
+            with pytest.raises(ServiceDrainingError, match="draining"):
+                service.localize(graph)
+        assert service.m_requests.value == 3
+        assert service.m_drain_rejections.value == 3
+        assert service.m_drain_failed.value == 0, "refusals are not drain failures"
+
+
 def test_drain_deadline_fails_leftovers_deterministically(graphs):
     model = SlowForwardModel(base_model(), delay_s=0.4)
     results: dict[str, object] = {}
@@ -760,69 +676,6 @@ def test_drain_deadline_fails_leftovers_deterministically(graphs):
         assert isinstance(results["b"], ServiceDrainingError), (
             "the queued leftover fails with a structured drain error"
         )
-
-
-def test_drain_during_active_pointer_swap_is_clean(tmp_path, graphs):
-    """SIGTERM mid-reload: no half-loaded model served, no stranded future.
-
-    A writer thread flips the registry ACTIVE pointer in a tight loop while
-    clients localize and the service drains. Every future must resolve —
-    to a result carrying a *complete* model identity (name/version pair
-    that was actually published) or to a structured draining error — and
-    the service must end up draining with an empty pipeline.
-    """
-    registry = ModelRegistry(tmp_path / "registry")
-    v1 = registry.publish(DelayFaultLocalizer(hidden=4, seed=0))
-    v2 = registry.publish(DelayFaultLocalizer(hidden=4, seed=1), activate=False)
-    published = {(v1.name, v1.version), (v2.name, v2.version)}
-
-    service = LocalizationService(
-        registry=registry, watchdog_interval_s=0.03, drain_deadline_s=2.0
-    )
-    service.start()
-    stop_flipping = threading.Event()
-
-    def flip():
-        flip_to = [(v2.name, v2.version), (v1.name, v1.version)]
-        i = 0
-        while not stop_flipping.is_set():
-            name, version = flip_to[i % 2]
-            registry.activate(name, version)
-            i += 1
-
-    flipper = threading.Thread(target=flip, daemon=True)
-    flipper.start()
-
-    results: dict[int, object] = {}
-    threads = []
-    for i in range(24):
-        threads.append(
-            localize_in_thread(service, graphs[i % len(graphs)], results, i, timeout_s=5.0)
-        )
-        if i == 12:
-            service.begin_drain()  # SIGTERM lands mid-traffic, mid-swap
-
-    report = service.await_drain(2.0)
-    stop_flipping.set()
-    flipper.join(timeout=5.0)
-    for t in threads:
-        t.join(timeout=5.0)
-
-    assert len(results) == 24, "every request must resolve during drain"
-    for key, outcome in results.items():
-        if isinstance(outcome, Exception):
-            assert isinstance(outcome, (ServiceDrainingError, WorkerCrashedError)), (
-                key,
-                outcome,
-            )
-        else:
-            # Never a half-loaded identity: the (name, version) pair must be
-            # one that was actually published, never a mix of two swaps.
-            assert (outcome.model_name, outcome.model_version) in published
-    assert service.queue_depth() == 0
-    assert report["failed"] >= 0
-    assert service.health_snapshot()["status"] == "draining"
-    service.close()
 
 
 def test_healthz_reports_draining(graphs):

@@ -203,6 +203,7 @@ def test_slo_counts_rejected_requests_as_failures():
                 m3d_shed_total=20,
                 m3d_deadline_exceeded_total=5,
                 m3d_breaker_rejections_total=3,
+                m3d_drain_rejections_total=4,
                 m3d_drain_failures_total=2,  # drained callers are already errors
             )
         )
@@ -211,9 +212,10 @@ def test_slo_counts_rejected_requests_as_failures():
         ).scrape()["slo"]
     finally:
         stub.stop()
-    # 2 errors + 20 shed + 5 past their deadline + 3 breaker rejections of 40
-    assert slo["availability"] == pytest.approx(1.0 - 30 / 40)
-    assert slo["burn_rate"] == pytest.approx((30 / 40) / 0.1, abs=1e-3)
+    # 2 errors + 20 shed + 5 past their deadline + 3 breaker rejections
+    # + 4 refused while draining, of 40
+    assert slo["availability"] == pytest.approx(1.0 - 34 / 40)
+    assert slo["burn_rate"] == pytest.approx((34 / 40) / 0.1, abs=1e-3)
 
 
 def test_slo_availability_falls_back_to_reachability():

@@ -1,5 +1,5 @@
 """Unit tests for the resilience primitives: deadlines, breaker, health,
-backoff/retry, and the state-gauge metric they report through."""
+backoff, and the state-gauge metric they report through."""
 
 import time
 
@@ -13,7 +13,6 @@ from m3d_fault_loc.serve.resilience import (
     ExponentialBackoff,
     HealthMonitor,
     LoadSheddedError,
-    retry_with_backoff,
 )
 
 
@@ -123,48 +122,14 @@ def test_health_degrades_then_goes_unhealthy_then_recovers():
     assert "again" in snap["last_failure"]
 
 
-# -- backoff + retry -------------------------------------------------------
+# -- ExponentialBackoff ----------------------------------------------------
 
 
 def test_exponential_backoff_schedule_is_capped():
     backoff = ExponentialBackoff(base_s=0.1, factor=2.0, max_s=0.5)
-    assert list(backoff.delays(5)) == [0.1, 0.2, 0.4, 0.5, 0.5]
+    assert [backoff.next_delay() for _ in range(5)] == [0.1, 0.2, 0.4, 0.5, 0.5]
     backoff.reset()
     assert backoff.next_delay() == 0.1
-
-
-def test_retry_with_backoff_recovers_from_transient_failures():
-    calls = {"n": 0}
-    sleeps: list[float] = []
-
-    def flaky() -> str:
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise OSError("transient")
-        return "ok"
-
-    assert retry_with_backoff(flaky, attempts=3, sleep=sleeps.append) == "ok"
-    assert calls["n"] == 3 and len(sleeps) == 2
-
-
-def test_retry_with_backoff_gives_up_and_propagates():
-    def always_fails() -> None:
-        raise OSError("permanent")
-
-    with pytest.raises(OSError, match="permanent"):
-        retry_with_backoff(always_fails, attempts=2, sleep=lambda _s: None)
-
-
-def test_retry_with_backoff_does_not_catch_unrelated_errors():
-    calls = {"n": 0}
-
-    def typeerror() -> None:
-        calls["n"] += 1
-        raise TypeError("not transient")
-
-    with pytest.raises(TypeError):
-        retry_with_backoff(typeerror, attempts=5, sleep=lambda _s: None)
-    assert calls["n"] == 1
 
 
 # -- StateGauge ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""LocalizationService: gating, the worker, caching, hot reload."""
+"""LocalizationService: gating, the worker, caching, close."""
 
 import threading
 import time
@@ -13,7 +13,6 @@ from m3d_fault_loc.data.synthetic import random_netlist
 from m3d_fault_loc.faults.injector import make_fault_sample
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
-from m3d_fault_loc.serve.registry import ModelRegistry
 from m3d_fault_loc.serve.service import LocalizationService
 from m3d_fault_loc.testing.chaos import ChaosModelWrapper
 
@@ -28,15 +27,6 @@ def graphs():
 def make_service(**kwargs):
     kwargs.setdefault("model", DelayFaultLocalizer(hidden=8, seed=2))
     return LocalizationService(**kwargs)
-
-
-def test_requires_exactly_one_model_source():
-    with pytest.raises(ValueError, match="exactly one"):
-        LocalizationService()
-    with pytest.raises(ValueError, match="exactly one"):
-        LocalizationService(
-            model=DelayFaultLocalizer(hidden=4), registry=ModelRegistry("unused")
-        )
 
 
 def test_result_matches_direct_model_call(graphs):
@@ -167,21 +157,6 @@ def test_clean_graph_warnings_surface_in_result():
     with make_service(engine=engine) as service:
         result = service.localize(make_high_fanout_graph(n_sinks=4))
     assert any("M3D108" in w for w in result.warnings)
-
-
-def test_hot_reload_on_registry_activation(tmp_path, graphs):
-    registry = ModelRegistry(tmp_path / "registry")
-    registry.publish(DelayFaultLocalizer(hidden=8, seed=0))
-    with make_service(model=None, registry=registry) as service:
-        before = service.localize(graphs[0])
-        assert before.model_version == "v0001"
-
-        registry.publish(DelayFaultLocalizer(hidden=8, seed=99))
-        after = service.localize(graphs[0])
-        assert after.model_version == "v0002"
-        assert after.cached is False  # cache cannot serve the old model's answer
-        assert service.m_reloads.value == 1
-        assert service.describe_model()["version"] == "v0002"
 
 
 def test_close_is_idempotent_and_rejects_new_requests(graphs):
