@@ -34,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+from m3d_fault_loc.cli import serve as serve_cli
 from m3d_fault_loc.model.localizer import DelayFaultLocalizer
 from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.resilience import (
@@ -372,6 +373,35 @@ def test_request_admitted_during_restart_backoff_is_served_by_replacement(graphs
         thread.join(timeout=5)
 
 
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_restarted_worker_serves_the_same_model_identity(graphs):
+    model = CrashOnNthForwardModel(base_model(), crash_on=2, crash_count=1, kill_worker=True)
+    with make_service(model) as service:
+        info = service.describe_model()
+        before = service.localize(graphs[0], timeout_s=5.0)
+        with pytest.raises(WorkerCrashedError):
+            service.localize(graphs[1], timeout_s=5.0)
+        after = service.localize(graphs[2], timeout_s=5.0)
+        assert service.m_worker_restarts.value == 1
+        assert service.describe_model() == info
+        assert before.model_version == after.model_version == info["version"]
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_cached_answers_survive_a_worker_restart(graphs):
+    """The model does not change when the worker does, so its cached
+    answers stay valid and are served without a forward pass."""
+    model = CrashOnNthForwardModel(base_model(), crash_on=2, crash_count=1, kill_worker=True)
+    with make_service(model) as service:
+        first = service.localize(graphs[0], timeout_s=5.0)
+        with pytest.raises(WorkerCrashedError):
+            service.localize(graphs[1], timeout_s=5.0)
+        assert wait_until(lambda: service.m_worker_restarts.value == 1)
+        again = service.localize(graphs[0], timeout_s=5.0)
+        assert again.cached is True and again.top == first.top
+        assert model.forward_calls == 2, "the cached answer needs no forward pass"
+
+
 def service_try(service, graph):
     try:
         return service.localize(graph, timeout_s=2.0)
@@ -519,6 +549,15 @@ def test_serve_cli_serves_only_a_model_file(tmp_path):
         assert "serving on" not in proc.stdout
 
 
+def test_serve_parser_has_one_required_model_flag():
+    parser = serve_cli.build_parser()
+    options = {opt for action in parser._actions for opt in action.option_strings}
+    assert "--model" in options and "--registry" not in options
+    (model_flag,) = [a for a in parser._actions if "--model" in a.option_strings]
+    assert model_flag.required
+    assert parser._mutually_exclusive_groups == []
+
+
 def test_serve_cli_accepts_only_one_worker(tmp_path):
     artifact = base_model().save(tmp_path / "model.npz")
     proc = run_serve_cli("--model", artifact, "--workers", "2")
@@ -659,6 +698,38 @@ def test_refusals_while_draining_are_counted(graphs):
         assert service.m_drain_failed.value == 0, "refusals are not drain failures"
 
 
+def test_drain_mid_traffic_resolves_every_request_under_one_model(graphs):
+    """Drain lands mid-traffic: every call resolves, to a result from the
+    one model the service was built on or to a structured refusal."""
+    service = make_service(SlowForwardModel(base_model(), delay_s=0.01))
+    version = service.describe_model()["version"]
+    service.start()
+    results: dict[int, object] = {}
+    threads = []
+    for i in range(24):
+        threads.append(
+            localize_in_thread(service, graphs[i % len(graphs)], results, i, timeout_s=5.0)
+        )
+        if i == 12:
+            service.begin_drain()
+    report = service.await_drain(2.0)
+    for t in threads:
+        t.join(timeout=5.0)
+
+    assert len(results) == 24, "every request must resolve during drain"
+    refused = 0
+    for key, outcome in results.items():
+        if isinstance(outcome, Exception):
+            assert isinstance(outcome, ServiceDrainingError), (key, outcome)
+            refused += 1
+        else:
+            assert outcome.model_version == version
+    assert refused == service.m_drain_rejections.value + report["failed"]
+    assert service.queue_depth() == 0
+    assert service.health_snapshot()["status"] == "draining"
+    service.close()
+
+
 def test_drain_deadline_fails_leftovers_deterministically(graphs):
     model = SlowForwardModel(base_model(), delay_s=0.4)
     results: dict[str, object] = {}
@@ -692,6 +763,35 @@ def test_healthz_reports_draining(graphs):
         conn.close()
         assert response.status == 503
         assert payload["status"] == "draining"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+        thread.join(timeout=5)
+
+
+def test_draining_server_refuses_localize_with_503_and_counts_it(graphs):
+    service = make_service(base_model())
+    server = create_server(service, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        service.begin_drain()
+        for graph in graphs[:2]:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            conn.request("POST", "/localize", body=json.dumps({"graph": graph.to_json_dict()}))
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            conn.close()
+            assert response.status == 503
+            assert payload["error"] == "draining"
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        conn.request("GET", "/metrics")
+        prom = conn.getresponse().read().decode()
+        conn.close()
+        assert "m3d_requests_total 2" in prom
+        assert "m3d_drain_rejections_total 2" in prom
+        assert "m3d_drain_failures_total 0" in prom
     finally:
         server.shutdown()
         server.server_close()

@@ -253,6 +253,15 @@ def test_params_are_views_of_the_flat_vector(tmp_path):
     assert reloaded.fingerprint() == model.fingerprint()
 
 
+def test_fingerprint_names_the_weights_and_nothing_else():
+    model = DelayFaultLocalizer(hidden=8, seed=3)
+    assert DelayFaultLocalizer(hidden=8, seed=3).fingerprint() == model.fingerprint()
+    assert DelayFaultLocalizer(hidden=8, seed=4).fingerprint() != model.fingerprint()
+    before = model.fingerprint()
+    model.params["b1"][0] += 1e-6
+    assert model.fingerprint() != before
+
+
 # -- load() refuses malformed artifacts --------------------------------------
 
 

@@ -218,6 +218,21 @@ def test_slo_counts_rejected_requests_as_failures():
     assert slo["burn_rate"] == pytest.approx((34 / 40) / 0.1, abs=1e-3)
 
 
+def test_slo_sums_drain_rejections_across_members():
+    stubs = [StubReplica(name=name).start() for name in ("old", "new")]
+    try:
+        stubs[0].set_metrics(metrics_payload(10, 0, m3d_drain_rejections_total=5))
+        stubs[1].set_metrics(metrics_payload(30, 0))
+        slo = FleetScraper(
+            members=[stub.key for stub in stubs], timeout_s=2.0, availability_objective=0.9
+        ).scrape()["slo"]
+    finally:
+        for stub in stubs:
+            stub.stop()
+    # a replica refusing 5 of its 10 calls while it drains out of the fleet
+    assert slo["availability"] == pytest.approx(1.0 - 5 / 40)
+
+
 def test_slo_availability_falls_back_to_reachability():
     scraper = FleetScraper(members=["127.0.0.1:9"], timeout_s=0.2)
     slo = scraper.scrape()["slo"]

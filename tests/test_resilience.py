@@ -132,6 +132,36 @@ def test_exponential_backoff_schedule_is_capped():
     assert backoff.next_delay() == 0.1
 
 
+@pytest.mark.parametrize(
+    "knobs, expected",
+    [
+        # the service's default worker-restart schedule
+        (dict(base_s=0.05, factor=2.0, max_s=2.0), [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]),
+        (dict(base_s=0.5, factor=1.0, max_s=0.5), [0.5, 0.5, 0.5]),
+        (dict(base_s=0.1, factor=3.0, max_s=1.0), [0.1, 0.3, 0.9, 1.0, 1.0]),
+        (dict(base_s=0.2, factor=2.0, max_s=0.2), [0.2, 0.2, 0.2]),
+    ],
+)
+def test_exponential_backoff_next_delay_follows_the_schedule(knobs, expected):
+    backoff = ExponentialBackoff(**knobs)
+    assert [backoff.next_delay() for _ in expected] == pytest.approx(expected)
+    backoff.reset()
+    assert [backoff.next_delay() for _ in expected] == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        dict(base_s=0.0, factor=2.0, max_s=1.0),
+        dict(base_s=0.1, factor=0.5, max_s=1.0),
+        dict(base_s=0.5, factor=2.0, max_s=0.1),
+    ],
+)
+def test_exponential_backoff_rejects_invalid_knobs(knobs):
+    with pytest.raises(ValueError, match="invalid backoff"):
+        ExponentialBackoff(**knobs)
+
+
 # -- StateGauge ------------------------------------------------------------
 
 

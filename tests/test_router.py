@@ -24,6 +24,8 @@ import time
 
 import pytest
 
+from m3d_fault_loc.model.localizer import DelayFaultLocalizer
+from m3d_fault_loc.scenarios import ScenarioSpec, get_scenario
 from m3d_fault_loc.serve.resilience import ExponentialBackoff
 from m3d_fault_loc.serve.router import (
     ATTEMPTS_HEADER,
@@ -37,6 +39,8 @@ from m3d_fault_loc.serve.router import (
     create_router_server,
     parse_replica_spec,
 )
+from m3d_fault_loc.serve.server import create_server
+from m3d_fault_loc.serve.service import LocalizationService
 from m3d_fault_loc.testing.chaos import StubReplica, slow_loris
 
 
@@ -331,6 +335,59 @@ def test_router_health_counts_replicas_up_of_three():
         for _ in range(router.policy.eject_after):
             replica.record_failure()
     assert router.health_snapshot()["status"] == "unhealthy"
+
+
+def serve_model(model, port=0):
+    server = create_server(LocalizationService(model=model), host="127.0.0.1", port=port)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
+def stop_server(server, thread):
+    server.shutdown()
+    server.server_close()
+    server.service.close()
+    thread.join(timeout=5.0)
+
+
+def test_replacement_replica_serves_the_new_model_after_readmission():
+    """A model change is a replica replacement: the replacement boots on the
+    victim's port with a new artifact, the probe readmits it, and only its
+    answers name the new model."""
+    old_model = DelayFaultLocalizer(hidden=8, seed=0)
+    new_model = DelayFaultLocalizer(hidden=8, seed=1)
+    old_version = old_model.fingerprint()[:12]
+    new_version = new_model.fingerprint()[:12]
+    assert new_version != old_version
+    graphs = get_scenario("single_delay").generate(
+        ScenarioSpec(n_graphs=24, n_gates=12, n_inputs=3, seed=11)
+    )
+    bodies = [json.dumps({"graph": g.to_json_dict()}).encode() for g in graphs]
+    victim, survivor = serve_model(old_model), serve_model(old_model)
+    victim_key = f"127.0.0.1:{victim[0].port}"
+    survivor_key = f"127.0.0.1:{survivor[0].port}"
+    router = ReplicaRouter(
+        [("127.0.0.1", victim[0].port), ("127.0.0.1", survivor[0].port)],
+        policy=fast_policy(probe_interval_s=0.05),
+    )
+    router.start()
+    try:
+        stop_server(*victim)
+        assert wait_until(lambda: router._by_key[victim_key].state == REPLICA_EJECTED)
+        victim = serve_model(new_model, port=int(victim_key.rsplit(":", 1)[1]))
+        assert wait_until(lambda: router._by_key[victim_key].state == REPLICA_UP)
+
+        versions: dict[str, set[str]] = {victim_key: set(), survivor_key: set()}
+        for body in bodies:
+            response = router.dispatch("POST", "/localize", body, {})
+            assert response.status == 200, response.body
+            versions[response.replica].add(json.loads(response.body)["model"]["version"])
+        assert versions == {victim_key: {new_version}, survivor_key: {old_version}}
+    finally:
+        router.close()
+        stop_server(*victim)
+        stop_server(*survivor)
 
 
 # -- the HTTP front ----------------------------------------------------------

@@ -109,6 +109,28 @@ def test_model_endpoint_reports_identity_and_cache(live_server, graph):
     assert payload["cache"]["size"] == 1
 
 
+def test_model_endpoint_is_the_same_body_before_and_after_traffic(live_server, graph):
+    conn = http.client.HTTPConnection("127.0.0.1", live_server.port, timeout=10)
+    try:
+        conn.request("GET", "/model")
+        before = json.loads(conn.getresponse().read())["model"]
+        conn.request("POST", "/localize", body=json.dumps({"graph": graph.to_json_dict()}))
+        served = json.loads(conn.getresponse().read())
+        conn.request("GET", "/model")
+        after = json.loads(conn.getresponse().read())["model"]
+    finally:
+        conn.close()
+    assert after == before
+    assert served["model"]["version"] == before["version"]
+
+
+def test_metrics_carry_drain_rejections_and_no_reload_counters(live_server):
+    status, prom = request(live_server, "GET", "/metrics")
+    assert status == 200
+    assert "m3d_drain_rejections_total 0" in prom
+    assert "m3d_model_reload" not in prom
+
+
 def test_malformed_payloads_get_400(live_server):
     status, body = request(live_server, "POST", "/localize", {"nope": 1})
     assert status == 400 and body["error"] == "bad_request"

@@ -29,6 +29,33 @@ def make_service(**kwargs):
     return LocalizationService(**kwargs)
 
 
+def test_service_is_built_on_exactly_one_model():
+    with pytest.raises(TypeError, match="model"):
+        LocalizationService()
+    with pytest.raises(TypeError, match="registry"):
+        LocalizationService(model=DelayFaultLocalizer(hidden=4), registry="unused")
+
+
+def test_model_identity_is_the_weights_fingerprint():
+    model = DelayFaultLocalizer(hidden=8, seed=2)
+    with make_service(model=model) as service:
+        info = service.describe_model()
+    fingerprint = model.fingerprint()
+    assert info["source"] == info["name"] == "adhoc"
+    assert info["sha256"] == fingerprint
+    assert info["version"] == fingerprint[:12]
+    assert (info["in_dim"], info["hidden"]) == (model.in_dim, model.hidden)
+
+
+def test_model_identity_is_fixed_for_the_service_life(graphs):
+    with make_service() as service:
+        before = service.describe_model()
+        versions = {service.localize(graph).model_version for graph in graphs}
+        service.describe_model()["version"] = "tampered"  # a copy, not the service's own
+        assert service.describe_model() == before
+    assert versions == {before["version"]}
+
+
 def test_result_matches_direct_model_call(graphs):
     model = DelayFaultLocalizer(hidden=8, seed=2)
     with make_service(model=model) as service:
@@ -166,6 +193,17 @@ def test_close_is_idempotent_and_rejects_new_requests(graphs):
     service.close()
     with pytest.raises(RuntimeError, match="closed"):
         service.localize(graphs[0])
+
+
+def test_refusals_after_close_are_counted(graphs):
+    service = make_service()
+    service.localize(graphs[0])
+    service.close()
+    for graph in graphs[:2]:
+        with pytest.raises(RuntimeError, match="closed"):
+            service.localize(graph)
+    assert service.m_requests.value == 3
+    assert service.m_drain_rejections.value == 2
 
 
 def test_localize_validates_top_k(graphs):

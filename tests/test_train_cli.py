@@ -9,6 +9,7 @@ from m3d_fault_loc.cli import evaluate as evaluate_cli
 from m3d_fault_loc.cli import train as train_cli
 from m3d_fault_loc.analysis.cli import EXIT_CLEAN
 from m3d_fault_loc.analysis.cli import main as m3dlint_main
+from m3d_fault_loc.testing.chaos import MALFORMED_PARAM_KEYS, malformed_model
 
 
 def test_train_then_evaluate_roundtrip(tmp_path, capsys):
@@ -78,6 +79,20 @@ def test_evaluate_refuses_a_malformed_artifact_with_one_line(tmp_path, capsys):
     assert rc == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"model error: model artifact {model_path}: missing parameter ")
+
+
+@pytest.mark.parametrize("kind", MALFORMED_PARAM_KEYS)
+def test_evaluate_refuses_every_malformed_kind_naming_the_key(tmp_path, capsys, kind):
+    """Each malformation ``load`` checks for is one ``model error`` line
+    naming the offending parameter, never a traceback or a scored run."""
+    model_path = malformed_model(kind).save(tmp_path / "model.npz")
+    rc = evaluate_cli.main(["--model", str(model_path), "--n-graphs", "2", "--n-gates", "8"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"model error: model artifact {model_path}: ")
+    assert f"'{MALFORMED_PARAM_KEYS[kind]}'" in line
+    assert "localization accuracy" not in captured.out
 
 
 def test_evaluate_refuses_a_missing_model_file_with_one_line(tmp_path, capsys):
